@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from akforge._modp import (
+# Import the package from this checkout's src/, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from akforge._modp import (  # noqa: E402
+    _HAS_NUMBA,
     eval_x_batch,
     primes_from_seed,
     rank_profile_mod_p,
     resultant_batch,
-    use_numba,
 )
 
 PRIME = primes_from_seed(1)[0]
@@ -62,24 +67,29 @@ def main() -> int:
     rng = np.random.default_rng(20260823)
     cases = list(rank_cases(rng)) + list(resultant_cases(rng))
 
-    os.environ["AKFORGE_BACKEND"] = "numba"
-    if not use_numba():
-        print("note: numba backend unavailable; timing the numpy path twice")
-    else:
+    # Selecting the numba backend without numba raises InvalidInput.
+    if _HAS_NUMBA:
+        os.environ["AKFORGE_BACKEND"] = "numba"
         for _, fn in cases:
             fn()  # compile before timing
+    else:
+        print("note: numba backend unavailable; timing the numpy path only")
 
     results = []
     for label, fn in cases:
-        os.environ["AKFORGE_BACKEND"] = "numba"
-        with_numba = time_best(fn, args.repeats)
+        with_numba = None
+        if _HAS_NUMBA:
+            os.environ["AKFORGE_BACKEND"] = "numba"
+            with_numba = time_best(fn, args.repeats)
         os.environ["AKFORGE_BACKEND"] = "numpy"
-        with_numpy = time_best(fn, args.repeats)
-        results.append((label, with_numba, with_numpy))
+        results.append((label, with_numba, time_best(fn, args.repeats)))
 
     width = max(len(label) for label, *_ in results)
     print(f"{'kernel':<{width}}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
     for label, t_nb, t_np in results:
+        if t_nb is None:
+            print(f"{label:<{width}}  {'-':>10}  {t_np:>9.4f}s  {'-':>8}")
+            continue
         ratio = t_np / t_nb if t_nb > 0 else float("inf")
         print(f"{label:<{width}}  {t_nb:>9.4f}s  {t_np:>9.4f}s  {ratio:>7.1f}x")
     return 0

@@ -12,10 +12,11 @@ polynomials serialize identically.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .errors import NegativeExponent, PolySyntaxError
+from .errors import InvalidInput, NegativeExponent, PolySyntaxError
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -52,11 +53,17 @@ class SparsePoly:
         data: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (ex, ey), c in items:
+            if isinstance(c, float):
+                raise InvalidInput(f"coefficient {c!r} is a float; give an int or Fraction")
+            try:
+                ex, ey = operator.index(ex), operator.index(ey)
+            except TypeError:
+                raise InvalidInput(f"exponents {(ex, ey)!r} must be integers") from None
             if ex < 0 or ey < 0:
                 raise ValueError("monomial exponents must be non-negative")
             c = Fraction(c)
             if c:
-                m = Monomial(int(ex), int(ey))
+                m = Monomial(ex, ey)
                 c = data.get(m, _ZERO) + c
                 if c:
                     data[m] = c
@@ -124,9 +131,6 @@ class SparsePoly:
         if wx < 1 or wy < 1:
             raise ValueError("weights must be positive")
         return min((wx * m.ex + wy * m.ey for m in self._terms), default=math.inf)
-
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -299,13 +303,29 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparsePoly":
+        if not isinstance(data, dict):
+            raise InvalidInput("polynomial JSON must be an object with 'vars' and 'terms'")
         vars_ = data.get("vars")
         if not isinstance(vars_, list) or len(vars_) != 2:
             raise ValueError("polynomial JSON must carry exactly two variables")
+        entries = data.get("terms", [])
+        if not isinstance(entries, list):
+            raise InvalidInput("polynomial JSON 'terms' must be a list")
         terms = []
-        for entry in data.get("terms", []):
-            e = entry["e"]
-            terms.append(((int(e[0]), int(e[1])), Fraction(entry["c"])))
+        for entry in entries:
+            e = entry.get("e") if isinstance(entry, dict) else None
+            c = entry.get("c") if isinstance(entry, dict) else None
+            # bool is an int subclass, so `type(...) is int` is the exact test.
+            if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
+                raise InvalidInput(f"term exponents must be two plain integers, got {e!r}")
+            if type(c) not in (int, str):
+                raise InvalidInput(
+                    f"term coefficient must be an integer or a rational string, got {c!r}"
+                )
+            try:
+                terms.append(((e[0], e[1]), Fraction(c)))
+            except (ValueError, ZeroDivisionError):
+                raise InvalidInput(f"term coefficient {c!r} is not a rational") from None
         return cls(terms)
 
     def __str__(self) -> str:

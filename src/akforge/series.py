@@ -6,25 +6,28 @@ at or below the cutoff are kept; everything heavier is discarded.  Because
 weights are positive, truncation commutes with ring operations, so all
 arithmetic here is exact modulo the stated window.
 
-Two substitution engines back the heavy operations.  The grouped engine
-stores a series as {z-degree: dense integer coefficient list over x} and
-multiplies lists with Kronecker-packed big-integer convolution; it requires
-integer coefficients and is fast enough for windows with x-range in the
-thousands.  The generic engine works directly on rational sparse
-polynomials and exists both as a fallback and as an independent
-cross-check.
+One sparse engine does all the work.  Series are SparsePoly bodies (exact
+rational coefficients), and every product is truncated as it is formed: a
+pair of terms whose weighted degrees add up past the cutoff is skipped
+before its coefficients are multiplied.  Substituting a series for the
+second variable is a truncated Horner scheme that raises the series to each
+distinct gap between consecutive exponents once, by binary powering.  The
+family's inverted series y(x, z) has only a handful of terms at every
+member, so the cost follows the number of terms, not the window's x-range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from ._kronecker import conv_trunc
+# Unused here; kept because perfbench/spans.py patches series.conv_trunc by name.
+from ._kronecker import conv_trunc  # noqa: F401
 from .errors import InvalidInput, MismatchedContract, PreconditionViolated
-from .poly import SparsePoly
+from .poly import Monomial, SparsePoly
+
+_ZERO = Fraction(0)
 
 
 class Weights(NamedTuple):
@@ -112,11 +115,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_contract(other)
-        a, da = _clear_denominators(self.body, self.weights, self.cutoff)
-        b, db = _clear_denominators(other.body, self.weights, self.cutoff)
-        prod = _mul_groups(a, b, self.weights, self.cutoff)
         return TruncatedSeries(
-            _groups_to_poly(prod, da * db), self.weights, self.cutoff
+            _mul_trunc(self.body, other.body, self.weights, self.cutoff),
+            self.weights,
+            self.cutoff,
         )
 
     def __pow__(self, e: int) -> "TruncatedSeries":
@@ -133,142 +135,87 @@ class TruncatedSeries:
         return result
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
+# -- truncated products ----------------------------------------------------
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
+def _mul_trunc(a: SparsePoly, b: SparsePoly, weights: Weights, cutoff: int) -> SparsePoly:
+    """The product a*b with every term above the cutoff left out.
 
-
-# -- grouped integer engine ------------------------------------------------
-#
-# groups: dict z-degree -> dense list of int coefficients over x-degree.
-# Lists are kept stripped of trailing zeros and empty groups are removed,
-# so two grouped forms are equal as dicts iff the series are equal.
-
-Groups = "dict[int, list[int]]"
-
-
-def _strip(groups: dict[int, list[int]]) -> dict[int, list[int]]:
-    out = {}
-    for j, lst in groups.items():
-        n = len(lst)
-        while n and lst[n - 1] == 0:
-            n -= 1
-        if n:
-            out[j] = lst[:n] if n != len(lst) else lst
-    return out
-
-
-def _add_groups(a: dict[int, list[int]], b: dict[int, list[int]]) -> dict[int, list[int]]:
-    out = {j: list(lst) for j, lst in a.items()}
-    for j, lst in b.items():
-        cur = out.get(j)
-        if cur is None:
-            out[j] = list(lst)
-            continue
-        if len(cur) < len(lst):
-            cur.extend([0] * (len(lst) - len(cur)))
-        for i, v in enumerate(lst):
-            if v:
-                cur[i] += v
-    return _strip(out)
-
-
-def _mul_groups(
-    a: dict[int, list[int]],
-    b: dict[int, list[int]],
-    weights: Weights,
-    cutoff: int,
-) -> dict[int, list[int]]:
+    The weighted degree of each pair is known before its coefficients are
+    touched, so pairs that would land above the cutoff are skipped without
+    a multiplication.  Sorting b by weight lets the inner loop stop at the
+    first term that no longer fits.
+    """
     wx, wz = weights
-    out: dict[int, list[int]] = {}
-    for j, p in a.items():
-        for l, q in b.items():
-            t = j + l
-            rem = cutoff - wz * t
-            if rem < 0:
-                continue
-            c = conv_trunc(p, q, rem // wx + 1)
-            cur = out.get(t)
-            if cur is None:
-                out[t] = c
+    bs = sorted(
+        ((wx * m.ex + wz * m.ey, m.ex, m.ey, c) for m, c in b._terms.items()),
+        key=lambda t: t[0],
+    )
+    data: dict[Monomial, Fraction] = {}
+    for (ax, ay), ac in a._terms.items():
+        room = cutoff - wx * ax - wz * ay
+        for bw, bx, by, bc in bs:
+            if bw > room:
+                break
+            m = Monomial(ax + bx, ay + by)
+            s = data.get(m, _ZERO) + ac * bc
+            if s:
+                data[m] = s
             else:
-                if len(cur) < len(c):
-                    cur.extend([0] * (len(c) - len(cur)))
-                for i, v in enumerate(c):
-                    if v:
-                        cur[i] += v
-    return _strip(out)
+                del data[m]
+    return _from_terms(data)
 
 
-def _grouped_powers(
-    base: dict[int, list[int]],
-    exponents: set[int],
-    weights: Weights,
-    cutoff: int,
-) -> dict[int, dict[int, list[int]]]:
-    """Powers of a grouped series for each requested exponent, sharing squarings."""
-    out: dict[int, dict[int, list[int]]] = {}
-    if 0 in exponents:
-        out[0] = {0: [1]}
-    top = max(exponents, default=0)
-    if top == 0:
-        return out
-    squares = [base]
-    while (1 << len(squares)) <= top:
-        squares.append(_mul_groups(squares[-1], squares[-1], weights, cutoff))
+def _powers_trunc(
+    r: SparsePoly, exponents: set[int], weights: Weights, cutoff: int
+) -> dict[int, SparsePoly]:
+    """Truncated r**e for each positive e, by binary powering over shared squarings."""
+    squares = [r]
+    while (1 << len(squares)) <= max(exponents, default=0):
+        squares.append(_mul_trunc(squares[-1], squares[-1], weights, cutoff))
+    out = {}
     for e in exponents:
-        if e == 0:
-            continue
         acc = None
-        bit, ee = 0, e
-        while ee:
-            if ee & 1:
-                acc = squares[bit] if acc is None else _mul_groups(acc, squares[bit], weights, cutoff)
-            ee >>= 1
-            bit += 1
+        for bit, sq in enumerate(squares):
+            if e >> bit & 1:
+                acc = sq if acc is None else _mul_trunc(acc, sq, weights, cutoff)
         out[e] = acc
     return out
 
 
-def _poly_to_groups(
-    p: SparsePoly, weights: Weights, cutoff: int
-) -> dict[int, list[int]]:
-    """Integer-coefficient polynomial to grouped dense form, truncating by weight."""
-    wx, wz = weights
-    groups: dict[int, list[int]] = {}
-    for m, c in p.terms():
-        if wx * m.ex + wz * m.ey > cutoff:
-            continue
-        lst = groups.get(m.ey)
-        if lst is None:
-            lst = []
-            groups[m.ey] = lst
-        if len(lst) <= m.ex:
-            lst.extend([0] * (m.ex + 1 - len(lst)))
-        lst[m.ex] = int(c)
-    return _strip(groups)
+def _subst_second_truncated(
+    F: SparsePoly, r: SparsePoly, weights: Weights, cutoff: int
+) -> SparsePoly:
+    """F(x, r), truncated, by Horner's scheme over the y-exponents of F.
+
+    Consecutive y-exponents e1 > e2 cost one product with r**(e1 - e2).  Each
+    distinct gap is powered once per call; the family's gaps are mostly m,
+    so one r**m serves every step.
+    """
+    wx = weights.wx
+    layers: dict[int, dict[Monomial, Fraction]] = {}
+    for m, c in F._terms.items():
+        if wx * m.ex <= cutoff:
+            layers.setdefault(m.ey, {})[Monomial(m.ex, 0)] = c
+    if not layers:
+        return SparsePoly.zero()
+    exps = sorted(layers, reverse=True)
+    gaps = [prev - e for prev, e in zip(exps, exps[1:])]
+    tail = exps[-1]
+    powers = _powers_trunc(r, {*gaps, tail} - {0}, weights, cutoff)
+    acc = _from_terms(layers[exps[0]])
+    for gap, e in zip(gaps, exps[1:]):
+        acc = _mul_trunc(acc, powers[gap], weights, cutoff) + _from_terms(layers[e])
+    if tail:
+        acc = _mul_trunc(acc, powers[tail], weights, cutoff)
+    return acc
 
 
-def _groups_to_poly(groups: dict[int, list[int]], denom: int = 1) -> SparsePoly:
-    terms = []
-    for j, lst in groups.items():
-        for i, v in enumerate(lst):
-            if v:
-                terms.append(((i, j), Fraction(v, denom)))
-    return SparsePoly(terms)
-
-
-def _clear_denominators(
-    p: SparsePoly, weights: Weights, cutoff: int
-) -> tuple[dict[int, list[int]], int]:
-    d = 1
-    for _, c in p.terms():
-        d = lcm(d, c.denominator)
-    scaled = p.scale(d) if d != 1 else p
-    return _poly_to_groups(scaled, weights, cutoff), d
+def _from_terms(data: dict[Monomial, Fraction]) -> SparsePoly:
+    """Wrap an already canonical term dict (nonzero Fractions) without re-checking it."""
+    out = SparsePoly()
+    out._terms = data
+    return out
 
 
 # -- coordinate-change inversion -------------------------------------------
@@ -283,108 +230,34 @@ def _check_inversion_input(A: SparsePoly, weights: Weights, cutoff: int) -> None
         raise InvalidInput("cutoff is too small to represent the new variable")
 
 
-def invert_change(
-    A: SparsePoly, weights: Weights, cutoff: int, *, engine: str = "auto"
-) -> TruncatedSeries:
+def invert_change(A: SparsePoly, weights: Weights, cutoff: int) -> TruncatedSeries:
     """Solve y = z + A(x, y) for y as a truncated series in (x, z).
 
     This inverts the substitution z = y - A(x, y).  A must vanish to
     order 2 at the origin, which makes the fixed-point iteration
     y <- z + A(x, y) gain at least one unit of weighted order per pass.
+    Each pass substitutes the current iterate into A with the truncated
+    Horner scheme, so no term above the cutoff is ever multiplied out.
     """
     weights = Weights(*weights)
     _check_inversion_input(A, weights, cutoff)
-    if engine not in ("auto", "grouped", "generic"):
-        raise InvalidInput(f"unknown engine {engine!r}")
-    if engine == "grouped" and not A.has_integer_coefficients():
-        raise InvalidInput("grouped engine requires integer coefficients")
-    if engine == "auto":
-        engine = "grouped" if A.has_integer_coefficients() else "generic"
-
-    if engine == "generic":
-        z = SparsePoly.variable("y")
-        phi = z
-        for _ in range(cutoff + 2):
-            nxt = truncate_by_weight(
-                z + _subst_second_truncated(A, phi, weights, cutoff), weights, cutoff
-            )
-            if nxt == phi:
-                return TruncatedSeries(phi, weights, cutoff)
-            phi = nxt
-        raise RuntimeError("fixed-point iteration failed to converge")
-
-    ygroups = {
-        b: [int(xs.get(i, 0)) for i in range(max(xs) + 1)]
-        for b, xs in A.coeffs_in_y().items()
-    }
-    exps = set(ygroups)
-    z_units = {1: [1]}
-    phi = dict(z_units)
+    z = SparsePoly.variable("y")
+    phi = z
     for _ in range(cutoff + 2):
-        pows = _grouped_powers(phi, exps, weights, cutoff)
-        acc: dict[int, list[int]] = {}
-        for b, ab in ygroups.items():
-            acc = _add_groups(acc, _mul_groups(pows[b], {0: ab}, weights, cutoff))
-        nxt = _add_groups(z_units, acc)
+        nxt = z + _subst_second_truncated(A, phi, weights, cutoff)
         if nxt == phi:
-            return TruncatedSeries(_groups_to_poly(phi), weights, cutoff)
+            return TruncatedSeries(phi, weights, cutoff)
         phi = nxt
     raise RuntimeError("fixed-point iteration failed to converge")
 
 
-def _subst_second_truncated(
-    F: SparsePoly, r: SparsePoly, weights: Weights, cutoff: int
-) -> SparsePoly:
-    """F(x, r) with truncation applied after every product (generic engine)."""
-    layers: dict[int, list] = {}
-    for m, c in F.terms():
-        layers.setdefault(m.ey, []).append(((m.ex, 0), c))
-    if not layers:
-        return SparsePoly.zero()
-    polys = {
-        e: truncate_by_weight(SparsePoly(ts), weights, cutoff)
-        for e, ts in layers.items()
-    }
-    exps = sorted(polys, reverse=True)
-    acc = polys[exps[0]]
-    for prev, e in zip(exps, exps[1:]):
-        for _ in range(prev - e):
-            acc = truncate_by_weight(acc * r, weights, cutoff)
-        acc = acc + polys[e]
-    for _ in range(exps[-1]):
-        acc = truncate_by_weight(acc * r, weights, cutoff)
-    return acc
+def compose_curve(F: SparsePoly, y_series: TruncatedSeries) -> TruncatedSeries:
+    """Substitute the series for the second variable of F, truncating on the fly.
 
-
-def compose_curve(
-    F: SparsePoly, y_series: TruncatedSeries, *, engine: str = "auto"
-) -> TruncatedSeries:
-    """Substitute the series for the second variable of F, truncating on the fly."""
+    Equal to truncating F(x, y_series) after full expansion, but products
+    never form a term above the series' cutoff.
+    """
     weights, cutoff = y_series.weights, y_series.cutoff
-    if engine not in ("auto", "grouped", "generic"):
-        raise InvalidInput(f"unknown engine {engine!r}")
-    body_int = y_series.body.has_integer_coefficients()
-    if engine == "grouped" and not body_int:
-        raise InvalidInput("grouped engine requires an integer series body")
-    if engine == "auto":
-        engine = "grouped" if body_int else "generic"
-
-    if engine == "generic":
-        return TruncatedSeries(
-            _subst_second_truncated(F, y_series.body, weights, cutoff), weights, cutoff
-        )
-
-    denom = 1
-    for _, c in F.terms():
-        denom = lcm(denom, c.denominator)
-    scaled = F.scale(denom) if denom != 1 else F
-    fgroups = {
-        b: [int(xs.get(i, 0)) for i in range(max(xs) + 1)]
-        for b, xs in scaled.coeffs_in_y().items()
-    }
-    sgroups = _poly_to_groups(y_series.body, weights, cutoff)
-    pows = _grouped_powers(sgroups, set(fgroups), weights, cutoff)
-    acc: dict[int, list[int]] = {}
-    for b, fb in fgroups.items():
-        acc = _add_groups(acc, _mul_groups(pows[b], {0: fb}, weights, cutoff))
-    return TruncatedSeries(_groups_to_poly(acc, denom), weights, cutoff)
+    return TruncatedSeries(
+        _subst_second_truncated(F, y_series.body, weights, cutoff), weights, cutoff
+    )

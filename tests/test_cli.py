@@ -81,6 +81,11 @@ def test_poly_from_json_file(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "--poly", f"@{bad}")
     assert code == 2
 
+    for term in ('{"e": [1.7, true], "c": "1"}', '{"e": [2, 0], "c": 0.1}'):
+        bad.write_text('{"vars": ["x", "y"], "terms": [%s]}' % term)
+        code, out, err = run(capsys, "certify", "--poly", f"@{bad}")
+        assert (code, out) == (2, "") and err.startswith("error:")
+
 
 def test_milnor_exact_and_modular(capsys):
     code, out, _ = run(capsys, "milnor", "--poly", "y^2 + x^6")

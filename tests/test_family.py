@@ -18,7 +18,7 @@ from akforge.family import (
     verify_eq2,
 )
 from akforge.poly import SparsePoly, parse_poly
-from akforge.series import Weights
+from akforge.series import Weights, invert_change
 
 
 def test_family_params_values():
@@ -121,6 +121,18 @@ def test_certify_member_s1():
     assert cert.newton.coeff_xk1 == 56
     assert cert.newton.violations == ()
     assert cert.params.k <= cert.bound_upper == 990
+
+
+@pytest.mark.parametrize("s", [6, 20, 100])
+def test_certify_member_large(s):
+    # k = 16776, 173422 and 4226942: the window's x-range is of order k, while
+    # the inverted series keeps a handful of terms.
+    cert = certify_member(s)
+    k = cert.params.k
+    assert cert.certified
+    assert cert.window == SparsePoly([((0, 2), 1), ((k + 1, 0), 56)])  # z^2 + 56 x^(k+1)
+    assert cert.newton.violations == ()
+    assert len(invert_change(build_A(s), cert.weights, cert.cutoff).body) <= 10
 
 
 def revalidate_from_json(payload: dict) -> bool:

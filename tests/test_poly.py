@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from akforge.errors import NegativeExponent, PolySyntaxError
+from akforge.errors import InvalidInput, NegativeExponent, PolySyntaxError
 from akforge.poly import Monomial, SparsePoly, format_rational, parse_poly
 
 
@@ -31,6 +31,22 @@ def test_constructor_merges_and_drops_zeros():
 def test_constructor_rejects_negative_exponents():
     with pytest.raises(ValueError):
         SparsePoly([((-1, 0), 1)])
+
+
+@pytest.mark.parametrize("c", [0.1, 2.0, float("nan")])
+def test_constructor_rejects_float_coefficients(c):
+    # 0.1 has no exact binary value; storing it would silently turn the
+    # input into 3602879701896397/36028797018963968.
+    with pytest.raises(InvalidInput):
+        SparsePoly([((2, 0), c)])
+    with pytest.raises(InvalidInput):
+        SparsePoly.term(2, 0, c)
+
+
+def test_constructor_rejects_inexact_exponents():
+    for e in ((1.7, 0), (1, 2.0), ("1", 0)):
+        with pytest.raises(InvalidInput):
+            SparsePoly([(e, 1)])
 
 
 def test_zero_identities():
@@ -268,6 +284,26 @@ def test_json_round_trip_randomized():
 def test_json_accepts_plain_integer_coefficients():
     p = SparsePoly.from_json_dict({"vars": ["x", "y"], "terms": [{"e": [1, 1], "c": "3"}]})
     assert p == parse_poly("3*x*y")
+
+
+@pytest.mark.parametrize(
+    "e", [[1.7, True], [1, True], [False, 2], [2.0, 1], ["1", 0], [1], [1, 2, 3], 5]
+)
+def test_json_rejects_inexact_exponents(e):
+    with pytest.raises(InvalidInput):
+        SparsePoly.from_json_dict({"vars": ["x", "y"], "terms": [{"e": e, "c": "1"}]})
+
+
+@pytest.mark.parametrize("c", [0.1, 3.0, True, None, "1/0", "one"])
+def test_json_rejects_inexact_coefficients(c):
+    with pytest.raises(InvalidInput):
+        SparsePoly.from_json_dict({"vars": ["x", "y"], "terms": [{"e": [1, 0], "c": c}]})
+
+
+@pytest.mark.parametrize("data", [[], "x", {"vars": ["x", "y"], "terms": 3}])
+def test_json_rejects_malformed_documents(data):
+    with pytest.raises(InvalidInput):
+        SparsePoly.from_json_dict(data)
 
 
 def test_json_rejects_bad_vars():

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akforge.errors import InvalidInput, MismatchedContract, PreconditionViolated
 from akforge.poly import SparsePoly, parse_poly
@@ -14,7 +16,6 @@ from akforge.series import (
     Weights,
     compose_curve,
     invert_change,
-    series_mul,
     truncate_by_weight,
 )
 
@@ -81,7 +82,7 @@ def test_mul_matches_truncated_sparse_product():
             p = p.scale(Fraction(1, rng.randrange(2, 5)))
         a = TruncatedSeries.from_poly(p, w, cutoff)
         b = TruncatedSeries.from_poly(q, w, cutoff)
-        got = series_mul(a, b)
+        got = a * b
         want = truncate_by_weight(a.body * b.body, w, cutoff)
         assert got.body == want
 
@@ -121,15 +122,27 @@ def test_invert_cutoff_must_fit_z():
         invert_change(parse_poly("y^2"), Weights(1, 5), 4)
 
 
+def invert_oracle(A: SparsePoly, w: Weights, cutoff: int) -> SparsePoly:
+    """Fixed point of phi <- z + A(x, phi), expanding in full before truncating."""
+    z = SparsePoly.variable("y")
+    phi = z
+    for _ in range(cutoff + 2):
+        nxt = truncate_by_weight(z + A.subst("y", phi), w, cutoff)
+        if nxt == phi:
+            return phi
+        phi = nxt
+    raise AssertionError("oracle iteration did not converge")
+
+
 def test_invert_engines_agree_randomized():
+    # The truncated engine against the untruncated fixed-point oracle.
     rng = random.Random(808)
     for _ in range(30):
         A = rand_int_poly(rng, max_deg=4, nterms=4, min_deg=2)
         w = Weights(rng.randrange(1, 3), rng.randrange(1, 3))
         cutoff = rng.randrange(w.wz, 10)
-        a = invert_change(A, w, cutoff, engine="grouped")
-        b = invert_change(A, w, cutoff, engine="generic")
-        assert a == b
+        got = invert_change(A, w, cutoff)
+        assert got.body == invert_oracle(A, w, cutoff), (A, w, cutoff)
 
 
 def test_invert_round_trip_randomized():
@@ -150,15 +163,7 @@ def test_invert_rational_coefficients():
     phi = invert_change(A, W11, 4)
     resid = compose_curve(SparsePoly.variable("y") - A, phi)
     assert resid.body == parse_poly("y")
-    with pytest.raises(InvalidInput):
-        invert_change(A, W11, 4, engine="grouped")
-
-
-def test_unknown_engine():
-    with pytest.raises(InvalidInput):
-        invert_change(parse_poly("y^2"), W11, 4, engine="fast")
-    with pytest.raises(InvalidInput):
-        compose_curve(parse_poly("y"), ts("x"), engine="fast")
+    assert phi.body == invert_oracle(A, W11, 4)
 
 
 def test_compose_engines_and_oracle():
@@ -170,11 +175,8 @@ def test_compose_engines_and_oracle():
             Weights(rng.randrange(1, 3), rng.randrange(1, 3)),
             rng.randrange(0, 10),
         )
-        grouped = compose_curve(F, s, engine="grouped")
-        generic = compose_curve(F, s, engine="generic")
         oracle = truncate_by_weight(F.subst("y", s.body), s.weights, s.cutoff)
-        assert grouped.body == oracle
-        assert generic.body == oracle
+        assert compose_curve(F, s).body == oracle
 
 
 def test_compose_identity_series():
@@ -193,3 +195,50 @@ def test_certification_window_small_member():
     G = compose_curve(F, phi)
     assert G.body == parse_poly("z^2 + 56*x^43".replace("z", "y"))
     assert compose_curve(SparsePoly.variable("y") - A, phi).body == parse_poly("y")
+
+
+# -- property tests against the untruncated oracle --------------------------
+
+coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+weights = st.builds(Weights, st.integers(1, 4), st.integers(1, 4))
+
+
+def polys(max_ex: int, max_ey: int, max_terms: int):
+    monomials = st.tuples(st.integers(0, max_ex), st.integers(0, max_ey))
+    return st.dictionaries(monomials, coeffs, max_size=max_terms).map(SparsePoly)
+
+
+@st.composite
+def gapped_polys(draw):
+    """F whose y-exponents sit up to 12 apart, so Horner steps need r**gap."""
+    ey = draw(st.integers(0, 2))
+    layers = []
+    for gap in draw(st.lists(st.integers(1, 12), max_size=3)):
+        layers.append(ey)
+        ey += gap
+    layers.append(ey)
+    terms = [
+        ((ex, e), draw(coeffs))
+        for e in layers
+        for ex in draw(st.sets(st.integers(0, 5), min_size=1, max_size=2))
+    ]
+    return SparsePoly(terms)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@PROPERTY
+@given(polys(6, 6, 6), polys(6, 6, 6), weights, st.integers(0, 24))
+def test_mul_property_matches_untruncated_product(p, q, w, cutoff):
+    a = TruncatedSeries.from_poly(p, w, cutoff)
+    b = TruncatedSeries.from_poly(q, w, cutoff)
+    assert (a * b).body == truncate_by_weight(a.body * b.body, w, cutoff)
+
+
+@PROPERTY
+@given(gapped_polys(), polys(3, 2, 3), weights, st.integers(0, 30))
+def test_compose_property_matches_untruncated_subst(F, r, w, cutoff):
+    s = TruncatedSeries.from_poly(r, w, cutoff)
+    oracle = truncate_by_weight(F.subst("y", s.body), w, cutoff)
+    assert compose_curve(F, s).body == oracle
