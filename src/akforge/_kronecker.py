@@ -2,10 +2,10 @@
 
 A dense integer polynomial [c0, c1, ..., cn] is packed into a single big
 integer with a fixed byte stride per coefficient; the product of two packed
-integers is the packed convolution.  Python (or GMP, when gmpy2 is present)
-then does the heavy lifting with sub-quadratic big-integer multiplication,
-which beats schoolbook convolution by a wide margin once operands carry
-thousands of coefficient bits.
+integers is the packed convolution.  Python's sub-quadratic big-integer
+multiplication then does the heavy lifting, which beats schoolbook
+convolution by a wide margin once operands carry thousands of coefficient
+bits.
 
 Negative coefficients are handled by splitting each input into positive and
 negative parts, so all packed digits are non-negative and no borrow logic is
@@ -14,23 +14,8 @@ needed when unpacking.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpz
-
-    _HAS_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _HAS_GMPY2 = False
-
 # Below this many coefficient pairs, schoolbook is faster than packing.
 _SCHOOLBOOK_CUTOFF = 1024
-# Big-int products above this bit size go through GMP when available.
-_GMP_BITS = 1 << 14
-
-
-def _bigmul(x: int, y: int) -> int:
-    if _HAS_GMPY2 and x.bit_length() + y.bit_length() > _GMP_BITS:
-        return int(mpz(x) * mpz(y))
-    return x * y
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -76,8 +61,8 @@ def conv(a: list[int], b: list[int]) -> list[int]:
     b_pos = _pack([c if c > 0 else 0 for c in b], width)
     b_neg = _pack([-c if c < 0 else 0 for c in b], width)
 
-    plus = _bigmul(a_pos, b_pos) + _bigmul(a_neg, b_neg)
-    minus = _bigmul(a_pos, b_neg) + _bigmul(a_neg, b_pos)
+    plus = a_pos * b_pos + a_neg * b_neg
+    minus = a_pos * b_neg + a_neg * b_pos
 
     out_pos = _unpack(plus, width, nout)
     if minus == 0:

@@ -6,10 +6,10 @@ integer.  The seed comes from the AKFORGE_PRIME_SEED environment variable
 when set, else from DEFAULT_PRIME_SEED, which makes every modular result
 reproducible byte for byte.
 
-The two hot kernels, dense row elimination and batched univariate
-resultants, are compiled with numba when available.  AKFORGE_BACKEND=numpy
-forces the pure-numpy fallbacks; AKFORGE_BACKEND=numba insists on the
-compiled path.  Both backends produce identical output.
+Every kernel is plain numpy over int64 residues: dense row elimination
+(rank_profile_mod_p), Horner evaluation of the x-variable at many sample
+points (eval_x_batch), one univariate Euclidean resultant per point
+(resultant_batch) and Newton interpolation (interpolate_monomial).
 """
 
 from __future__ import annotations
@@ -20,23 +20,6 @@ import random
 import numpy as np
 
 from .errors import InvalidInput
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    _HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 DEFAULT_PRIME_SEED = 1729
 
@@ -94,75 +77,14 @@ def primes_from_seed(count: int = 2, seed: int | None = None) -> tuple[int, ...]
     return tuple(found)
 
 
-def use_numba() -> bool:
-    env = os.environ.get("AKFORGE_BACKEND", "").strip().lower()
-    if env == "numba":
-        if not _HAS_NUMBA:
-            raise InvalidInput("AKFORGE_BACKEND=numba but numba is not importable")
-        return True
-    if env == "numpy":
-        return False
-    if env:
-        raise InvalidInput("AKFORGE_BACKEND must be 'numba' or 'numpy'")
-    return _HAS_NUMBA
-
-
-def backend_name() -> str:
-    return "numba" if use_numba() else "numpy"
-
-
 # -- rank profile ----------------------------------------------------------
 
 
-@njit(cache=True)
-def _powmod_nb(b, e, m):  # pragma: no cover - compiled
-    b %= m
-    r = 1
-    while e:
-        if e & 1:
-            r = r * b % m
-        b = b * b % m
-        e >>= 1
-    return r
-
-
-@njit(cache=True)
-def _rank_profile_nb(a, p):  # pragma: no cover - compiled
-    nrows, ncols = a.shape
-    pivots = np.empty(min(nrows, ncols), np.int64)
-    npiv = 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = -1
-        for i in range(r, nrows):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            for j in range(ncols):
-                t = a[r, j]
-                a[r, j] = a[pr, j]
-                a[pr, j] = t
-        inv = _powmod_nb(a[r, c], p - 2, p)
-        for i in range(r + 1, nrows):
-            lead = a[i, c]
-            if lead == 0:
-                continue
-            f = lead * inv % p
-            for j in range(c, ncols):
-                if a[r, j] != 0:
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        pivots[npiv] = c
-        npiv += 1
-        r += 1
-    return pivots[:npiv]
-
-
-def _rank_profile_np(a: np.ndarray, p: int) -> list[int]:
+def rank_profile_mod_p(mat: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of an integer matrix over GF(p); the input is copied."""
+    a = np.ascontiguousarray(np.asarray(mat, dtype=np.int64) % p)
+    if a.size == 0:
+        return []
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0
@@ -188,16 +110,6 @@ def _rank_profile_np(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def rank_profile_mod_p(mat: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of an integer matrix over GF(p); the input is copied."""
-    a = np.ascontiguousarray(np.asarray(mat, dtype=np.int64) % p)
-    if a.size == 0:
-        return []
-    if use_numba():
-        return [int(c) for c in _rank_profile_nb(a, p)]
-    return _rank_profile_np(a, p)
-
-
 # -- batched univariate resultants over GF(p) ------------------------------
 #
 # A bivariate integer polynomial enters as a dense int64 matrix C[b, i]:
@@ -216,65 +128,14 @@ def eval_x_batch(c_mat: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-@njit(cache=True)
-def _resultant_batch_nb(fv, gv, p):  # pragma: no cover - compiled
-    # fv, gv: (ny, npoints) value tables, row b = coefficient of y^b.
-    npoints = fv.shape[1]
-    out = np.zeros(npoints, np.int64)
-    maxd = fv.shape[0] + gv.shape[0]
-    a = np.zeros(maxd, np.int64)
-    b = np.zeros(maxd, np.int64)
-    for tix in range(npoints):
-        for i in range(fv.shape[0]):
-            a[i] = fv[i, tix]
-        da = -1
-        for i in range(fv.shape[0]):
-            if a[i] != 0:
-                da = i
-        for i in range(gv.shape[0]):
-            b[i] = gv[i, tix]
-        db = -1
-        for i in range(gv.shape[0]):
-            if b[i] != 0:
-                db = i
-        if da < 0 or db < 0:
-            out[tix] = 0
-            continue
-        res = 1
-        ok = True
-        while db > 0:
-            # remainder a mod b
-            binv = _powmod_nb(b[db], p - 2, p)
-            for top in range(da, db - 1, -1):
-                lead = a[top]
-                if lead == 0:
-                    continue
-                f = lead * binv % p
-                sh = top - db
-                for i in range(db + 1):
-                    a[sh + i] = (a[sh + i] - f * b[i]) % p
-            dr = -1
-            for i in range(db):
-                if a[i] != 0:
-                    dr = i
-            if dr < 0:
-                res = 0
-                ok = False
-                break
-            if (da * db) & 1:
-                res = p - res
-            res = res * _powmod_nb(b[db], da - dr, p) % p
-            tmp = a
-            a = b
-            b = tmp
-            da, db = db, dr
-        if ok:
-            res = res * _powmod_nb(b[0], da, p) % p
-        out[tix] = res
-    return out
+def resultant_batch(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
+    """Res_y at each sample point, from value tables produced by eval_x_batch.
 
-
-def _resultant_batch_np(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
+    Column t of ``fv`` and ``gv`` holds the residues of the two polynomials
+    at one sample point, row b being the coefficient of y^b.  Trailing zero
+    rows are trimmed per column, so the degrees may differ from point to
+    point; a column where either polynomial vanishes gives 0.
+    """
     npoints = fv.shape[1]
     out = np.zeros(npoints, dtype=np.int64)
     for tix in range(npoints):
@@ -315,15 +176,6 @@ def _resultant_batch_np(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
             res = res * pow(b[0], da, p) % p
         out[tix] = res
     return out
-
-
-def resultant_batch(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
-    """Res_y at each sample point, from value tables produced by eval_x_batch."""
-    if use_numba():
-        return _resultant_batch_nb(
-            np.ascontiguousarray(fv), np.ascontiguousarray(gv), p
-        )
-    return _resultant_batch_np(fv, gv, p)
 
 
 def interpolate_monomial(points: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:

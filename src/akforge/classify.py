@@ -19,6 +19,7 @@ from ._xseries import XSeries
 from .errors import (
     InvalidInput,
     MismatchedContract,
+    NonIsolated,
     NotACriticalGerm,
     WindowTooSmall,
 )
@@ -166,12 +167,27 @@ def _newton_branch(fy: SparsePoly, fyy: SparsePoly, prec: int, seed: XSeries) ->
     return h
 
 
+def _branch_is_critical_curve(g: SparsePoly, fy: SparsePoly, h: XSeries) -> bool:
+    """True when the polynomial curve y = h(x) lies in the critical locus of g.
+
+    The caller has seen g(x, h) vanish mod x^prec.  If every term x^a y^b of
+    g and of f_y has a + b*deg(h) < prec, both compositions are polynomials
+    of degree below prec, so vanishing mod x^prec means vanishing outright;
+    then g = g_y = 0 along the curve and hence g_x = 0 there too.
+    """
+    deg_h = max((i for i, v in enumerate(h.num) if v), default=0)
+    if any(m.ex + m.ey * deg_h >= h.prec for p in (g, fy) for m, _ in p.terms()):
+        return False
+    return _eval_on_branch(fy, h).is_zero()
+
+
 def split_and_classify(f: SparsePoly, cap: int = DEFAULT_CAP) -> AkResult:
     """Classify a germ as A_k, Smooth, NotCorankOne, or Undetermined.
 
     For corank one the germ splits as unit * z^2 + g(x) with
     g(x) = f(x, h(x)); k is ord_x(g) - 1, searched with doubling precision
-    up to the cap.
+    up to the cap.  Raises NonIsolated when the branch is a polynomial curve
+    along which the gradient vanishes identically.
     """
     if cap < 1:
         raise InvalidInput("cap must be positive")
@@ -196,6 +212,8 @@ def split_and_classify(f: SparsePoly, cap: int = DEFAULT_CAP) -> AkResult:
             return AkResult("A_k", k=order - 1) if order <= cap else AkResult(
                 "Undetermined", cap=cap
             )
+        if _branch_is_critical_curve(g, fy, h):
+            raise NonIsolated("the gradient vanishes along a curve through the origin")
         if prec > cap:
             return AkResult("Undetermined", cap=cap)
         prec *= 2

@@ -77,10 +77,7 @@ def _relation_rows(fx: SparsePoly, fy: SparsePoly, m_top: int) -> list[dict[int,
     for g in (fx, fy):
         if g.is_zero:
             continue
-        den = 1
-        for _, c in g.terms():
-            den = lcm(den, c.denominator)
-        terms = [((m.ex, m.ey), int(c * den)) for m, c in g.terms()]
+        terms = [((m.ex, m.ey), int(c)) for m, c in _scale_integer(g).terms()]
         og = min(tx + ty for (tx, ty), _ in terms)
         for du in range(m_top - og):
             for a in range(du + 1):
@@ -296,16 +293,18 @@ def _interp_valuation_exact(points: list[int], values: list[int]) -> int | None:
     return None
 
 
-def _good_points_exact(P, Q, count: int) -> list[int]:
-    py, qy = P.degree_in("y"), Q.degree_in("y")
-    lcp = _lc_y_poly(P) if py > 0 else None
-    lcq = _lc_y_poly(Q) if qy > 0 else None
+def _sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
+    """The first ``count`` integers t >= 1 where no leading y-coefficient vanishes.
+
+    With a modulus ``p`` the test is vanishing mod p, so the y-degrees of
+    both polynomials survive reduction at every chosen point.
+    """
+    lcs = [_lc_y_poly(R) for R in (P, Q) if R.degree_in("y") > 0]
     pts: list[int] = []
     t = 1
     while len(pts) < count:
-        if (lcp is None or _eval_int_poly(lcp, t) != 0) and (
-            lcq is None or _eval_int_poly(lcq, t) != 0
-        ):
+        values = [_eval_int_poly(lc, t) for lc in lcs]
+        if all(v % p if p else v for v in values):
             pts.append(t)
         t += 1
     return pts
@@ -313,19 +312,7 @@ def _good_points_exact(P, Q, count: int) -> list[int]:
 
 def _modular_valuation(P, Q, bound: int, p: int) -> int | None:
     py, qy = P.degree_in("y"), Q.degree_in("y")
-    lcp = _lc_y_poly(P) if py > 0 else None
-    lcq = _lc_y_poly(Q) if qy > 0 else None
-    pts: list[int] = []
-    t = 1
-    while len(pts) < bound + 1:
-        ok = True
-        if lcp is not None and _eval_int_poly(lcp, t) % p == 0:
-            ok = False
-        if ok and lcq is not None and _eval_int_poly(lcq, t) % p == 0:
-            ok = False
-        if ok:
-            pts.append(t)
-        t += 1
+    pts = _sample_points(P, Q, bound + 1, p)
     pts_arr = np.array(pts, dtype=np.int64)
     pmat = np.array([[c % p for c in row] for row in _dense_y_matrix(P)], dtype=np.int64)
     qmat = np.array([[c % p for c in row] for row in _dense_y_matrix(Q)], dtype=np.int64)
@@ -402,7 +389,7 @@ def milnor_resultant(
         if mode == "auto":
             mode = "exact" if bound <= _EXACT_RESULTANT_LIMIT else "modular"
         if mode == "exact":
-            pts = _good_points_exact(P, Q, bound + 1)
+            pts = _sample_points(P, Q, bound + 1)
             val = _interp_valuation_exact(pts, _exact_resultant_values(P, Q, pts))
             arith_used = "exact"
         else:
@@ -410,7 +397,7 @@ def milnor_resultant(
             v1 = _modular_valuation(P, Q, bound, p1)
             v2 = _modular_valuation(P, Q, bound, p2)
             if v1 != v2:
-                pts = _good_points_exact(P, Q, bound + 1)
+                pts = _sample_points(P, Q, bound + 1)
                 val = _interp_valuation_exact(pts, _exact_resultant_values(P, Q, pts))
                 arith_used = "exact"
             else:

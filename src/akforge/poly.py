@@ -74,6 +74,17 @@ class SparsePoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, data: dict[Monomial, Fraction]) -> "SparsePoly":
+        """Adopt an already canonical term dict without re-checking it.
+
+        The keys must be Monomials and the values nonzero Fractions; every
+        input check lives in the public constructor.
+        """
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
+
+    @classmethod
     def zero(cls) -> "SparsePoly":
         return _POLY_ZERO
 
@@ -140,9 +151,7 @@ class SparsePoly:
         return NotImplemented
 
     def __neg__(self) -> "SparsePoly":
-        out = SparsePoly()
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return SparsePoly._wrap({m: -c for m, c in self._terms.items()})
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
@@ -154,9 +163,7 @@ class SparsePoly:
                 data[m] = s
             elif m in data:
                 del data[m]
-        out = SparsePoly()
-        out._terms = data
-        return out
+        return SparsePoly._wrap(data)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
@@ -175,9 +182,7 @@ class SparsePoly:
                     data[m] = s
                 elif m in data:
                     del data[m]
-        out = SparsePoly()
-        out._terms = data
-        return out
+        return SparsePoly._wrap(data)
 
     __rmul__ = __mul__
 
@@ -185,9 +190,7 @@ class SparsePoly:
         c = Fraction(c)
         if not c:
             return _POLY_ZERO
-        out = SparsePoly()
-        out._terms = {m: v * c for m, v in self._terms.items()}
-        return out
+        return SparsePoly._wrap({m: v * c for m, v in self._terms.items()})
 
     def __pow__(self, e: int) -> "SparsePoly":
         if e < 0:
@@ -204,9 +207,9 @@ class SparsePoly:
 
     def shift(self, dx: int, dy: int) -> "SparsePoly":
         """Multiply by x^dx * y^dy."""
-        out = SparsePoly()
-        out._terms = {Monomial(m.ex + dx, m.ey + dy): c for m, c in self._terms.items()}
-        return out
+        return SparsePoly._wrap(
+            {Monomial(m.ex + dx, m.ey + dy): c for m, c in self._terms.items()}
+        )
 
     def diff(self, var: str) -> "SparsePoly":
         """Formal partial derivative with respect to 'x' or 'y'."""
@@ -217,9 +220,7 @@ class SparsePoly:
             if e:
                 nm = Monomial(m.ex - 1, m.ey) if i == 0 else Monomial(m.ex, m.ey - 1)
                 data[nm] = c * e
-        out = SparsePoly()
-        out._terms = data
-        return out
+        return SparsePoly._wrap(data)
 
     def subst(self, var: str, r: "SparsePoly") -> "SparsePoly":
         """Replace one variable by a polynomial, fully expanded.
@@ -228,22 +229,16 @@ class SparsePoly:
         number of polynomial products proportional to the exponent range.
         """
         i = _var_index(var)
-        layers: dict[int, SparsePoly] = {}
+        layers: dict[int, dict[Monomial, Fraction]] = {}
         for m, c in self._terms.items():
-            e = m[i]
             rest = Monomial(0, m.ey) if i == 0 else Monomial(m.ex, 0)
-            layer = layers.get(e)
-            if layer is None:
-                layer = SparsePoly()
-                layer._terms = {}
-                layers[e] = layer
-            layer._terms[rest] = c
+            layers.setdefault(m[i], {})[rest] = c
         if not layers:
             return _POLY_ZERO
         exps = sorted(layers, reverse=True)
-        acc = layers[exps[0]]
+        acc = SparsePoly._wrap(layers[exps[0]])
         for prev, e in zip(exps, exps[1:]):
-            acc = acc * r ** (prev - e) + layers[e]
+            acc = acc * r ** (prev - e) + SparsePoly._wrap(layers[e])
         return acc * r ** exps[-1]
 
     def compose(self, px: "SparsePoly", py: "SparsePoly") -> "SparsePoly":

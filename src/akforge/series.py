@@ -163,7 +163,7 @@ def _mul_trunc(a: SparsePoly, b: SparsePoly, weights: Weights, cutoff: int) -> S
                 data[m] = s
             else:
                 del data[m]
-    return _from_terms(data)
+    return SparsePoly._wrap(data)
 
 
 def _powers_trunc(
@@ -203,19 +203,12 @@ def _subst_second_truncated(
     gaps = [prev - e for prev, e in zip(exps, exps[1:])]
     tail = exps[-1]
     powers = _powers_trunc(r, {*gaps, tail} - {0}, weights, cutoff)
-    acc = _from_terms(layers[exps[0]])
+    acc = SparsePoly._wrap(layers[exps[0]])
     for gap, e in zip(gaps, exps[1:]):
-        acc = _mul_trunc(acc, powers[gap], weights, cutoff) + _from_terms(layers[e])
+        acc = _mul_trunc(acc, powers[gap], weights, cutoff) + SparsePoly._wrap(layers[e])
     if tail:
         acc = _mul_trunc(acc, powers[tail], weights, cutoff)
     return acc
-
-
-def _from_terms(data: dict[Monomial, Fraction]) -> SparsePoly:
-    """Wrap an already canonical term dict (nonzero Fractions) without re-checking it."""
-    out = SparsePoly()
-    out._terms = data
-    return out
 
 
 # -- coordinate-change inversion -------------------------------------------

@@ -17,6 +17,7 @@ from akforge.classify import (
 from akforge.errors import (
     InvalidInput,
     MismatchedContract,
+    NonIsolated,
     NotACriticalGerm,
     WindowTooSmall,
 )
@@ -131,8 +132,17 @@ def test_classify_rotated_normal_forms():
 
 
 def test_classify_undetermined_square():
-    r = split_and_classify(parse_poly("y^2"), cap=64)
+    r = split_and_classify(parse_poly("y^2 + x^80"), cap=64)
     assert r == AkResult("Undetermined", cap=64)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y^2", "x^2", "(x + y)^2", "(y - x^2)^2", "(y - x^2 - x^5)^2*(1 + x)", "y^2*(1 + x^2)"],
+)
+def test_classify_non_isolated_polynomial_branch(text):
+    with pytest.raises(NonIsolated):
+        split_and_classify(parse_poly(text))
 
 
 def test_classify_cap_respected_then_released():

@@ -52,9 +52,15 @@ def test_certify_smooth_and_not_corank_one(capsys):
 
 
 def test_certify_undetermined_exit_1(capsys):
-    code, out, _ = run(capsys, "certify", "--poly", "y^2", "--max-k", "32")
+    code, out, _ = run(capsys, "certify", "--poly", "y^2 + x^40", "--max-k", "32")
     assert code == 1
     assert json.loads(out) == {"kind": "Undetermined", "k": None, "cap": 32}
+
+
+def test_certify_non_isolated_exit_1(capsys):
+    code, out, err = run(capsys, "certify", "--poly", "y^2")
+    assert code == 1 and out == ""
+    assert "error:" in err and "curve through the origin" in err
 
 
 def test_certify_noncritical_exit_1(capsys):

@@ -17,14 +17,12 @@ from akforge._exactrank import (
 from akforge._modp import (
     DEFAULT_PRIME_SEED,
     _is_prime,
-    backend_name,
     eval_x_batch,
     interpolate_monomial,
     prime_seed,
     primes_from_seed,
     rank_profile_mod_p,
     resultant_batch,
-    use_numba,
 )
 from akforge.errors import InvalidInput
 
@@ -147,26 +145,7 @@ def test_is_prime_small_cases():
         assert not _is_prime(n)
 
 
-def test_backend_env(monkeypatch):
-    monkeypatch.setenv("AKFORGE_BACKEND", "numpy")
-    assert backend_name() == "numpy"
-    assert use_numba() is False
-    monkeypatch.setenv("AKFORGE_BACKEND", "cuda")
-    with pytest.raises(InvalidInput):
-        backend_name()
-    monkeypatch.delenv("AKFORGE_BACKEND")
-    assert backend_name() in ("numba", "numpy")
-
-
-@pytest.fixture(params=["numba", "numpy"])
-def backend(request, monkeypatch):
-    if request.param == "numba":
-        pytest.importorskip("numba")
-    monkeypatch.setenv("AKFORGE_BACKEND", request.param)
-    return request.param
-
-
-def test_rank_profile_mod_p_matches_exact(backend):
+def test_rank_profile_mod_p_matches_exact():
     rng = random.Random(31337)
     (p,) = primes_from_seed(1, seed=6)
     for _ in range(40):
@@ -178,7 +157,7 @@ def test_rank_profile_mod_p_matches_exact(backend):
     assert rank_profile_mod_p(np.zeros((3, 4), dtype=np.int64), p) == []
 
 
-def test_eval_x_batch(backend):
+def test_eval_x_batch():
     (p,) = primes_from_seed(1, seed=6)
     # f = (3 + x + 2x^2) + y*(5x) + y^2*(1)
     c = np.array([[3, 1, 2], [0, 5, 0], [1, 0, 0]], dtype=np.int64)
@@ -190,7 +169,7 @@ def test_eval_x_batch(backend):
         assert vals[2, col] == 1
 
 
-def test_resultant_batch_matches_sylvester(backend):
+def test_resultant_batch_matches_sylvester():
     rng = random.Random(9090)
     (p,) = primes_from_seed(1, seed=8)
     for _ in range(60):
@@ -204,7 +183,7 @@ def test_resultant_batch_matches_sylvester(backend):
         assert int(got[0]) == want, (a, b)
 
 
-def test_resultant_batch_common_root(backend):
+def test_resultant_batch_common_root():
     (p,) = primes_from_seed(1, seed=8)
     # both vanish at y=1: resultant is 0
     fv = np.array([[p - 1], [1]], dtype=np.int64)  # y - 1
@@ -212,7 +191,70 @@ def test_resultant_batch_common_root(backend):
     assert int(resultant_batch(fv, gv, p)[0]) == 0
 
 
-def test_interpolate_monomial(backend):
+def remainder_degrees(a: list[int], b: list[int]) -> tuple[int, ...]:
+    """Degrees of a, b and their Euclidean remainders over Q; -1 is a zero remainder."""
+    a, b = [Fraction(v) for v in a], [Fraction(v) for v in b]
+    degs = [len(a) - 1, len(b) - 1]
+    while b:
+        while len(a) >= len(b):
+            f, sh = a[-1] / b[-1], len(a) - len(b)
+            a = [v - f * b[i - sh] if i >= sh else v for i, v in enumerate(a)][:-1]
+            while a and a[-1] == 0:
+                a.pop()
+        degs.append(len(a) - 1)
+        a, b = b, a
+    return tuple(degs)
+
+
+def test_resultant_batch_many_columns():
+    # One batch, as the modular oracle passes it: each column is one sample
+    # point, and columns differ in degree, remainder sequence and roots.
+    rng = random.Random(4242)
+    (p,) = primes_from_seed(1, seed=8)
+
+    def times_linear(c, r):  # c(y) * (y - r)
+        return [-r * c[0]] + [c[i - 1] - r * c[i] for i in range(1, len(c))] + [c[-1]]
+
+    pairs = [
+        ([-1, 0, 1], [-1, 1]),  # common root y = 1
+        ([1, 0, 0, 0, 1], [0, 0, 1]),  # remainder degree drops 2 -> 0
+        ([1, 1, 1, 1], [1, 0, 1]),
+        ([3, 1, 4, 0, 0], [5, 9]),  # zero top coefficients
+        ([7], [1, 2, 3]),
+        ([0, 0], [1, 1]),  # a zero polynomial
+    ]
+    while len(pairs) < 60:
+        a = [rng.choice((0, 0, -2, -1, 1, 3)) for _ in range(rng.randrange(1, 6))]
+        b = [rng.choice((0, 0, -2, -1, 1, 3)) for _ in range(rng.randrange(1, 6))]
+        if len(pairs) % 3 == 0:
+            r = rng.randrange(-3, 4)
+            a, b = times_linear(a, r), times_linear(b, r)
+        pairs.append((a, b))
+
+    def trim(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    fv = np.zeros((7, len(pairs)), dtype=np.int64)
+    gv = np.zeros((7, len(pairs)), dtype=np.int64)
+    want, sequences, common_roots = [], set(), 0
+    for col, (a, b) in enumerate(pairs):
+        fv[: len(a), col] = [v % p for v in a]
+        gv[: len(b), col] = [v % p for v in b]
+        a, b = trim(a), trim(b)
+        if not a or not b:
+            want.append(0)
+            continue
+        want.append(det_bareiss(sylvester_matrix(a, b)) % p)
+        sequences.add(remainder_degrees(a, b))
+        common_roots += want[-1] == 0
+    assert len(sequences) >= 20 and common_roots >= 10
+    assert resultant_batch(fv, gv, p).tolist() == want
+
+
+def test_interpolate_monomial():
     rng = random.Random(515151)
     (p,) = primes_from_seed(1, seed=11)
     for _ in range(25):
@@ -224,23 +266,3 @@ def test_interpolate_monomial(backend):
             np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64), p
         )
         assert [int(v) for v in got] == [c % p for c in coeffs]
-
-
-def test_backends_agree_on_random_inputs(monkeypatch):
-    pytest.importorskip("numba")
-    rng = random.Random(2024)
-    (p,) = primes_from_seed(1, seed=3)
-    mats = [
-        np.array(rand_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8)), dtype=np.int64)
-        for _ in range(10)
-    ]
-    fv = np.array([[rng.randrange(0, 100) for _ in range(6)] for _ in range(4)], dtype=np.int64)
-    gv = np.array([[rng.randrange(0, 100) for _ in range(6)] for _ in range(3)], dtype=np.int64)
-    out = {}
-    for be in ("numba", "numpy"):
-        monkeypatch.setenv("AKFORGE_BACKEND", be)
-        out[be] = (
-            [rank_profile_mod_p(m, p) for m in mats],
-            resultant_batch(fv, gv, p).tolist(),
-        )
-    assert out["numba"] == out["numpy"]
