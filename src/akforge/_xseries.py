@@ -2,9 +2,14 @@
 
 A series is stored as integer numerator coefficients over one shared
 positive denominator, normalized so their common content is 1.  Keeping the
-numerators integral lets multiplication run through the Kronecker-packed
-convolution, which matters when the classifier pushes precision into the
-thousands.
+numerators integral keeps products off Fraction arithmetic: a product is
+one integer multiply-add per coefficient pair and a single gcd pass, not a
+Fraction reduction per pair.  That matters for the classifier's small dense
+germs, whose branch series are full at precision 32; on Fraction-based
+sparse series the densest of them (A_19, A_20) classified about half as
+fast.  Products are truncated as they are formed and touch only nonzero
+coefficients, so the sparse Newton branches of high-k germs stay cheap at
+precision in the thousands.
 """
 
 from __future__ import annotations
@@ -12,7 +17,23 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._kronecker import conv_trunc
+
+def conv_trunc(a: list[int], b: list[int], n: int) -> list[int]:
+    """First ``n`` coefficients of the product a*b.
+
+    Zero entries of either operand are skipped, and each row stops at
+    x^(n-1), so no coefficient beyond the truncation is ever formed.
+    """
+    out = [0] * n
+    b_terms = [(j, v) for j, v in enumerate(b[:n]) if v]
+    for i, u in enumerate(a[:n]):
+        if u:
+            room = n - i
+            for j, v in b_terms:
+                if j >= room:
+                    break
+                out[i + j] += u * v
+    return out
 
 
 class XSeries:
@@ -109,32 +130,15 @@ class XSeries:
     def __neg__(self) -> "XSeries":
         return XSeries([-v for v in self.num], self.den, self.prec)
 
-    def scale(self, c) -> "XSeries":
-        c = Fraction(c)
-        return XSeries(
-            [v * c.numerator for v in self.num], self.den * c.denominator, self.prec
-        )
-
     def __mul__(self, other: "XSeries") -> "XSeries":
         self._require_same_prec(other)
+        # conv_trunc is looked up in the module namespace at call time, so a
+        # profiler that rebinds the module global sees every product.
         return XSeries(
             conv_trunc(self.num, other.num, self.prec),
             self.den * other.den,
             self.prec,
         )
-
-    def __pow__(self, e: int) -> "XSeries":
-        if e < 0:
-            raise ValueError("negative series power")
-        result = XSeries.one(self.prec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def reciprocal(self) -> "XSeries":
         """Multiplicative inverse; the constant term must be nonzero."""

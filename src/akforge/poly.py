@@ -514,8 +514,3 @@ def parse_poly(text: str) -> SparsePoly:
     NegativeExponent for a negative power.
     """
     return _Parser(text).parse()
-
-
-def weighted_order(p: SparsePoly, wx: int, wy: int) -> int | float:
-    """Module-level alias for SparsePoly.weighted_order."""
-    return p.weighted_order(wx, wy)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 # Unused here; kept because perfbench/spans.py patches series.conv_trunc by name.
-from ._kronecker import conv_trunc  # noqa: F401
+from ._xseries import conv_trunc  # noqa: F401
 from .errors import InvalidInput, MismatchedContract, PreconditionViolated
 from .poly import Monomial, SparsePoly
 

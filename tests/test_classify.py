@@ -158,10 +158,11 @@ def test_classify_member_s0():
 
 def test_classify_agrees_with_certifier_small_members():
     # the general classifier must reproduce the certified k of the first
-    # two family members without seeing the explicit change of variables
+    # three family members without seeing the explicit change of variables;
+    # s = 2 (k = 2260) runs the precision ladder up to 4096
     from akforge.family import certify_member
 
-    for s in (0, 1):
+    for s in (0, 1, 2):
         cert = certify_member(s)
         result = split_and_classify(build_member(s))
         assert result == AkResult("A_k", k=cert.params.k)

@@ -38,35 +38,47 @@ def test_order_and_zero():
     assert XSeries.zero(4).is_zero()
 
 
+def rand_sparse_series(rng: random.Random, prec: int) -> XSeries:
+    # shaped like a family member's Newton branch h(x): a few rational terms
+    # on an arithmetic progression of exponents, one in ten or fewer nonzero
+    gap = rng.randrange(3, 12)
+    start = rng.randrange(1, gap + 1)
+    coeffs = [Fraction(0)] * prec
+    slots = range(start, prec, gap)
+    for i in rng.sample(slots, min(len(slots), max(1, prec // 10))):
+        coeffs[i] = Fraction(rng.randrange(-(2**30), 2**30), rng.randrange(1, 2**12))
+    return XSeries.from_fractions(coeffs, prec)
+
+
+def fraction_product(fa: list[Fraction], fb: list[Fraction]) -> list[Fraction]:
+    prec = len(fa)
+    return [sum(fa[i] * fb[n - i] for i in range(n + 1)) for n in range(prec)]
+
+
 def test_add_mul_against_fraction_oracle():
+    # small precisions, then the larger ones the classifier's precision
+    # ladder reaches on family members, whose branch series are sparse
     rng = random.Random(99)
-    for _ in range(40):
-        prec = rng.randrange(1, 12)
-        a, b = rand_series(rng, prec), rand_series(rng, prec)
+    draws = [rand_series, rand_sparse_series]
+    precs = [rng.randrange(1, 12) for _ in range(40)] + [33, 64] * 3 + [300] * 2
+    for prec in precs:
+        a, b = rng.choice(draws)(rng, prec), rng.choice(draws)(rng, prec)
         fa, fb = a.coefficients(), b.coefficients()
         assert (a + b).coefficients() == [x + y for x, y in zip(fa, fb)]
         assert (a - b).coefficients() == [x - y for x, y in zip(fa, fb)]
-        prod = (a * b).coefficients()
-        want = [
-            sum(fa[i] * fb[n - i] for i in range(n + 1) if n - i < prec)
-            for n in range(prec)
-        ]
-        assert prod == want
+        assert (a * b).coefficients() == fraction_product(fa, fb)
+    for prec in (64, 300):
+        sparse = rand_sparse_series(rng, prec)
+        assert sum(v == 0 for v in sparse.num) >= 0.9 * prec
+        dense = rand_series(rng, prec)
+        fs, fd = sparse.coefficients(), dense.coefficients()
+        assert (sparse * sparse).coefficients() == fraction_product(fs, fs)
+        assert (sparse * dense).coefficients() == fraction_product(fs, fd)
 
 
 def test_precision_mismatch_rejected():
     with pytest.raises(ValueError):
         XSeries.one(3) + XSeries.one(4)
-
-
-def test_scale_and_pow():
-    s = XSeries([1, 1], prec=5)
-    assert s.scale(Fraction(1, 2)).coefficient(1) == Fraction(1, 2)
-    cube = s**3
-    assert cube.coefficients() == [1, 3, 3, 1, 0]
-    assert (s**0) == XSeries.one(5)
-    with pytest.raises(ValueError):
-        s ** (-1)
 
 
 def test_reciprocal_and_division():
