@@ -33,7 +33,6 @@ from akforge.errors import (
     MismatchedContract,
     NegativeExponent,
     NonIsolated,
-    NonIsolatedSuspected,
     NotACriticalGerm,
     PolySyntaxError,
     PreconditionViolated,
@@ -72,7 +71,6 @@ __all__ = [
     "Monomial",
     "NegativeExponent",
     "NonIsolated",
-    "NonIsolatedSuspected",
     "NotACriticalGerm",
     "PolySyntaxError",
     "PreconditionViolated",

@@ -66,10 +66,6 @@ def rank_profile_sparse(rows: list[dict[int, int]], ncols: int) -> list[int]:
     return pivots
 
 
-def rank_sparse(rows: list[dict[int, int]], ncols: int) -> int:
-    return len(rank_profile_sparse(rows, ncols))
-
-
 def sylvester_matrix(a: list[int], b: list[int]) -> list[list[int]]:
     """Sylvester matrix of two univariate polynomials.
 

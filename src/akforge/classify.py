@@ -131,7 +131,6 @@ def _rotate_corank_one(f: SparsePoly) -> SparsePoly:
 
 
 _PRECISION_START = 16
-DEFAULT_CAP = 4096
 
 
 def _eval_on_branch(f: SparsePoly, h: XSeries) -> XSeries:
@@ -167,29 +166,18 @@ def _newton_branch(fy: SparsePoly, fyy: SparsePoly, prec: int, seed: XSeries) ->
     return h
 
 
-def _branch_is_critical_curve(g: SparsePoly, fy: SparsePoly, h: XSeries) -> bool:
-    """True when the polynomial curve y = h(x) lies in the critical locus of g.
-
-    The caller has seen g(x, h) vanish mod x^prec.  If every term x^a y^b of
-    g and of f_y has a + b*deg(h) < prec, both compositions are polynomials
-    of degree below prec, so vanishing mod x^prec means vanishing outright;
-    then g = g_y = 0 along the curve and hence g_x = 0 there too.
-    """
-    deg_h = max((i for i, v in enumerate(h.num) if v), default=0)
-    if any(m.ex + m.ey * deg_h >= h.prec for p in (g, fy) for m, _ in p.terms()):
-        return False
-    return _eval_on_branch(fy, h).is_zero()
-
-
-def split_and_classify(f: SparsePoly, cap: int = DEFAULT_CAP) -> AkResult:
+def split_and_classify(f: SparsePoly, cap: int | None = None) -> AkResult:
     """Classify a germ as A_k, Smooth, NotCorankOne, or Undetermined.
 
     For corank one the germ splits as unit * z^2 + g(x) with
-    g(x) = f(x, h(x)); k is ord_x(g) - 1, searched with doubling precision
-    up to the cap.  Raises NonIsolated when the branch is a polynomial curve
-    along which the gradient vanishes identically.
+    g(x) = f(x, h(x)); k is ord_x(g) - 1, searched with doubling precision.
+    The search stops on its own: an isolated point of a degree-d curve has
+    k = mu <= (d-1)^2 by Bezout applied to the two partials, so once g
+    vanishes mod x^prec with prec > (d-1)^2 + 1 the germ is proven
+    non-isolated and NonIsolated is raised.  An optional ``cap`` is a user
+    budget: past a vanishing order of ``cap`` the result is Undetermined.
     """
-    if cap < 1:
+    if cap is not None and cap < 1:
         raise InvalidInput("cap must be positive")
     if f.coefficient(0, 0) != 0:
         raise NotACriticalGerm("the germ must vanish at the origin")
@@ -201,19 +189,23 @@ def split_and_classify(f: SparsePoly, cap: int = DEFAULT_CAP) -> AkResult:
     if corank == 2:
         return AkResult("NotCorankOne")
     g = _rotate_corank_one(f)
+    bezout = (g.total_degree - 1) ** 2 + 1
     fy, fyy = g.diff("y"), g.diff("y").diff("y")
     prec = _PRECISION_START
     h = XSeries.zero(prec)
     while True:
         h = _newton_branch(fy, fyy, prec, h)
-        values = _eval_on_branch(g, h)
-        order = values.order()
+        order = _eval_on_branch(g, h).order()
         if order is not None:
-            return AkResult("A_k", k=order - 1) if order <= cap else AkResult(
-                "Undetermined", cap=cap
+            if cap is not None and order > cap:
+                return AkResult("Undetermined", cap=cap)
+            return AkResult("A_k", k=order - 1)
+        if prec > bezout:
+            raise NonIsolated(
+                f"f(x, h(x)) vanishes mod x^{prec}, past the Bezout bound "
+                f"k + 1 <= (d-1)^2 + 1 = {bezout}: the critical locus "
+                "contains a curve through the origin"
             )
-        if _branch_is_critical_curve(g, fy, h):
-            raise NonIsolated("the gradient vanishes along a curve through the origin")
-        if prec > cap:
+        if cap is not None and prec > cap:
             return AkResult("Undetermined", cap=cap)
         prec *= 2

@@ -24,14 +24,13 @@ from akforge.bounds import (
     ratio_table_json,
     upper_bound,
 )
-from akforge.classify import DEFAULT_CAP, split_and_classify
+from akforge.classify import split_and_classify
 from akforge.errors import (
     AkforgeError,
     CertificationFailed,
     GenericityFailure,
     InvalidInput,
     NonIsolated,
-    NonIsolatedSuspected,
     NotACriticalGerm,
     PolySyntaxError,
 )
@@ -67,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument(
         "--max-k",
         type=int,
-        default=DEFAULT_CAP,
         metavar="CAP",
         help=(
-            "report Undetermined when the vanishing order k+1 exceeds CAP "
-            f"(default {DEFAULT_CAP})"
+            "optional budget: report Undetermined when the vanishing order "
+            "k+1 exceeds CAP (without it the search stops at the degree's "
+            "Bezout bound)"
         ),
     )
 
@@ -203,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"x^{monomial.ex} z^{monomial.ey}\n"
                 )
         return 1
-    except (NonIsolated, NonIsolatedSuspected, GenericityFailure, NotACriticalGerm) as exc:
+    except (NonIsolated, GenericityFailure, NotACriticalGerm) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (PolySyntaxError, InvalidInput) as exc:

@@ -59,9 +59,5 @@ class NonIsolated(AkforgeError):
     """The two partial derivatives share a factor; no finite Milnor number."""
 
 
-class NonIsolatedSuspected(AkforgeError):
-    """Local-algebra dimension did not stabilize below the cap."""
-
-
 class GenericityFailure(AkforgeError):
     """All sheared resultant attempts failed the genericity checks."""

@@ -38,7 +38,6 @@ from .errors import (
     GenericityFailure,
     InvalidInput,
     NonIsolated,
-    NonIsolatedSuspected,
     PreconditionViolated,
 )
 from .poly import SparsePoly
@@ -151,30 +150,38 @@ def milnor_truncated(f: SparsePoly, M: int, *, arithmetic: str = "exact") -> int
 
 def milnor_number(
     f: SparsePoly,
-    M_cap: int | None = None,
     *,
     expected: int | None = None,
     arithmetic: str = "exact",
 ) -> MilnorReport:
-    """Milnor number via stabilization of the truncated local algebra."""
+    """Milnor number via stabilization of the truncated local algebra.
+
+    The truncation degree doubles from a first value (``expected + 3`` with
+    a hint, else 16) until D stabilizes.  The search needs no cap: for an
+    isolated point of a degree-d germ, D(M) <= mu <= (d-1)^2 by Bezout
+    applied to the two partials, so an exact D(M) above (d-1)^2 proves the
+    point non-isolated and raises NonIsolated.  A modular profile can only
+    overstate D, so it is recomputed exactly before that conclusion.
+    """
     _require_no_constant(f)
-    if M_cap is None:
-        M_cap = 2 * expected + 8 if expected is not None else 256
-    if M_cap < 1:
-        raise InvalidInput("M_cap must be positive")
+    bezout = (f.total_degree - 1) ** 2
     fx, fy = f.diff("x"), f.diff("y")
-    m_run = min(max(expected + 3 if expected is not None else 16, 2), M_cap + 1)
+    m_run = max(expected + 3 if expected is not None else 16, 2)
     while True:
         dims, arith_used = _dimension_profile(fx, fy, m_run, arithmetic)
         assert all(a <= b for a, b in zip(dims, dims[1:])), "D(M) must be monotone"
         for m in range(1, m_run):
             if dims[m + 1] == dims[m]:
                 return MilnorReport(dims[m], TRUNCATED_METHOD, m, arith_used)
-        if m_run >= M_cap + 1:
-            raise NonIsolatedSuspected(
-                f"no stabilization up to M={M_cap}; the singularity may not be isolated"
-            )
-        m_run = min(2 * m_run, M_cap + 1)
+        if dims[m_run] > bezout:
+            if arith_used == "exact":
+                raise NonIsolated(
+                    f"D({m_run}) = {dims[m_run]} exceeds the Bezout bound "
+                    f"mu <= (d-1)^2 = {bezout}: the singularity is not isolated"
+                )
+            arithmetic = "exact"
+            continue
+        m_run *= 2
 
 
 # -- resultant-valuation oracle --------------------------------------------

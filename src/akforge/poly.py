@@ -137,12 +137,6 @@ class SparsePoly:
         """Minimum term degree (m-adic order); +inf for zero."""
         return min((m.degree for m in self._terms), default=math.inf)
 
-    def weighted_order(self, wx: int, wy: int) -> int | float:
-        """Minimum of wx*ex + wy*ey over terms; +inf for the zero polynomial."""
-        if wx < 1 or wy < 1:
-            raise ValueError("weights must be positive")
-        return min((wx * m.ex + wy * m.ey for m in self._terms), default=math.inf)
-
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -204,12 +198,6 @@ class SparsePoly:
             if e:
                 base = base * base
         return result
-
-    def shift(self, dx: int, dy: int) -> "SparsePoly":
-        """Multiply by x^dx * y^dy."""
-        return SparsePoly._wrap(
-            {Monomial(m.ex + dx, m.ey + dy): c for m, c in self._terms.items()}
-        )
 
     def diff(self, var: str) -> "SparsePoly":
         """Formal partial derivative with respect to 'x' or 'y'."""

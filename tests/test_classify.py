@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akforge.classify import (
     AkCertificate,
@@ -145,6 +147,16 @@ def test_classify_non_isolated_polynomial_branch(text):
         split_and_classify(parse_poly(text))
 
 
+@pytest.mark.parametrize(
+    "text", ["(y*(1-x) - x^2)^2", "(y*(1+x) - x^2)^2*(1 + x + y)^10"]
+)
+def test_classify_non_isolated_series_branch(text):
+    # the branch y = x^2/(1 -+ x) is a power series, not a polynomial; the
+    # search stops once f(x, h(x)) vanishes past the Bezout bound on k + 1
+    with pytest.raises(NonIsolated, match="Bezout"):
+        split_and_classify(parse_poly(text))
+
+
 def test_classify_cap_respected_then_released():
     f = parse_poly("y^2 + x^12")
     assert split_and_classify(f, cap=4) == AkResult("Undetermined", cap=4)
@@ -166,6 +178,11 @@ def test_classify_agrees_with_certifier_small_members():
         cert = certify_member(s)
         result = split_and_classify(build_member(s))
         assert result == AkResult("A_k", k=cert.params.k)
+
+
+def test_classify_member_s3_without_cap():
+    # k + 1 = 4630 needs precision 8192, below the Bezout stop 92^2 + 1
+    assert split_and_classify(build_member(3)) == AkResult("A_k", k=4629)
 
 
 def build_member(s: int):
@@ -217,6 +234,34 @@ def test_classify_agrees_with_milnor_small_k():
         px, py = random_change(rng)
         g = f.compose(px, py)
         assert milnor_number(g, expected=k).mu == k
+
+
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def smooth_branch_germs(draw):
+    """u * (q*y - p)^2 with p(0) = 0, q(0) != 0 and a unit u = 1 + c*x."""
+    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
+    p = SparsePoly({(1, 0): draw(small_ints), (2, 0): draw(small_ints)})
+    q = SparsePoly({(0, 0): draw(small_ints.filter(bool)), (1, 0): draw(small_ints)})
+    u = SparsePoly.one() + xv.scale(draw(small_ints))
+    return u, (q * yv - p) ** 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(smooth_branch_germs(), st.integers(1, 8), st.sampled_from(["exact", "modular"]))
+def test_classifier_and_oracle_agree_on_smooth_branch_squares(germ, k, arithmetic):
+    # extends criteria 6c/6d: the square of a smooth branch through the
+    # origin is non-isolated, and adding x^(k+1) makes it A_k
+    u, square = germ
+    with pytest.raises(NonIsolated):
+        split_and_classify(u * square)
+    with pytest.raises(NonIsolated):
+        milnor_number(u * square, arithmetic=arithmetic)
+    f = u * (square + SparsePoly.term(k + 1, 0))
+    assert split_and_classify(f) == AkResult("A_k", k=k)
+    assert milnor_number(f, arithmetic=arithmetic).mu == k
 
 
 def test_certificate_dataclass_properties():

@@ -58,9 +58,10 @@ def test_certify_undetermined_exit_1(capsys):
 
 
 def test_certify_non_isolated_exit_1(capsys):
-    code, out, err = run(capsys, "certify", "--poly", "y^2")
-    assert code == 1 and out == ""
-    assert "error:" in err and "curve through the origin" in err
+    for text in ("y^2", "(y*(1-x) - x^2)^2"):
+        code, out, err = run(capsys, "certify", "--poly", text)
+        assert code == 1 and out == ""
+        assert "error:" in err and "curve through the origin" in err
 
 
 def test_certify_noncritical_exit_1(capsys):
@@ -104,18 +105,11 @@ def test_milnor_exact_and_modular(capsys):
     assert payload["arithmetic"].startswith("two-prime-modular")
 
 
-def test_milnor_non_isolated_exit_1(capsys, monkeypatch):
-    # deep-path coverage (cap reached without stabilization) lives in the
-    # milnor suite with a small cap; here only the exit-code mapping matters
-    import akforge.cli as cli_mod
-    from akforge.errors import NonIsolatedSuspected
-
-    def fake(f, **kwargs):
-        raise NonIsolatedSuspected("no stabilization up to M=256")
-
-    monkeypatch.setattr(cli_mod, "milnor_number", fake)
-    code, out, err = run(capsys, "milnor", "--poly", "x^2*y^2")
-    assert code == 1 and out == "" and "error:" in err
+def test_milnor_non_isolated_exit_1(capsys):
+    for modular in ([], ["--modular"]):
+        code, out, err = run(capsys, "milnor", *modular, "--poly", "(y-x^2)^2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Bezout" in err
 
 
 def test_construct_s0(capsys):

@@ -11,7 +11,6 @@ import pytest
 from akforge._exactrank import (
     det_bareiss,
     rank_profile_sparse,
-    rank_sparse,
     sylvester_matrix,
 )
 from akforge._modp import (
@@ -89,7 +88,7 @@ def test_rank_profile_sparse_structured():
     # Duplicated and scaled rows collapse to one pivot.
     rows = [{0: 2, 3: 4}, {0: 3, 3: 6}, {0: -1, 3: -2}]
     assert rank_profile_sparse(rows, 5) == [0]
-    assert rank_sparse([], 4) == 0
+    assert rank_profile_sparse([], 4) == []
     assert rank_profile_sparse([{2: 7}], 3) == [2]
     with pytest.raises(ValueError):
         rank_profile_sparse([{5: 1}], 4)

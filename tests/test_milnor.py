@@ -11,7 +11,6 @@ from akforge.errors import (
     GenericityFailure,
     InvalidInput,
     NonIsolated,
-    NonIsolatedSuspected,
     PreconditionViolated,
 )
 from akforge.milnor import (
@@ -65,14 +64,33 @@ def test_milnor_number_rational_coefficients():
     assert milnor_number(parse_poly("1/2*x^2 + 1/5*y^3")).mu == 2
 
 
-def test_milnor_number_cap_behavior():
-    with pytest.raises(NonIsolatedSuspected):
-        milnor_number(parse_poly("x^2"), 40)
-    with pytest.raises(NonIsolatedSuspected):
-        # isolated, but the cap is too small to see stabilization
-        milnor_number(parse_poly("y^2 + x^6"), 3)
-    with pytest.raises(InvalidInput):
-        milnor_number(parse_poly("x^2 + y^2"), 0)
+@pytest.mark.parametrize("arithmetic", ["exact", "modular"])
+@pytest.mark.parametrize("text", ["x^2", "(y-x^2)^2", "x^2*y^2"])
+def test_milnor_number_non_isolated_past_bezout(text, arithmetic):
+    # D(M) <= mu <= (d-1)^2 for an isolated point; D past it is a proof
+    with pytest.raises(NonIsolated, match="Bezout"):
+        milnor_number(parse_poly(text), arithmetic=arithmetic)
+
+
+def test_milnor_number_modular_non_isolated_is_exact(monkeypatch):
+    # a modular profile may overstate D; the NonIsolated verdict must come
+    # from an exact recomputation of the same truncation degree
+    calls = []
+    real = milnor_mod._dimension_profile
+
+    def spy(fx, fy, m_top, arithmetic):
+        calls.append((m_top, arithmetic))
+        return real(fx, fy, m_top, arithmetic)
+
+    monkeypatch.setattr(milnor_mod, "_dimension_profile", spy)
+    with pytest.raises(NonIsolated):
+        milnor_number(parse_poly("(y-x^2)^2"), arithmetic="modular")
+    assert calls == [(16, "modular"), (16, "exact")]
+
+
+def test_milnor_number_low_hint_only_sets_the_first_degree():
+    # expected=10 starts at M = 13 and doubles past mu = 42
+    assert milnor_number(member_s0(), expected=10).mu == 42
 
 
 def test_member_s0_both_oracles_give_42():

@@ -54,7 +54,6 @@ def test_zero_identities():
     assert z.is_zero
     assert z.total_degree == -1
     assert z.order() == math.inf
-    assert z.weighted_order(2, 3) == math.inf
     assert str(z) == "0"
 
 
@@ -163,15 +162,6 @@ def test_shear_compose():
     f = parse_poly("y^2 + x^3")
     sheared = f.compose(parse_poly("x + 2*y"), parse_poly("y"))
     assert sheared == parse_poly("(x + 2*y)^3 + y^2")
-
-
-def test_weighted_order():
-    p = parse_poly("x^2*y + y^2")
-    assert p.weighted_order(1, 1) == 2
-    assert p.weighted_order(2, 5) == 9
-    assert p.weighted_order(3, 1) == 2
-    with pytest.raises(ValueError):
-        p.weighted_order(0, 1)
 
 
 def test_degree_helpers():
