@@ -8,8 +8,9 @@ reproducible byte for byte.
 
 Every kernel is plain numpy over int64 residues: dense row elimination
 (rank_profile_mod_p), Horner evaluation of the x-variable at many sample
-points (eval_x_batch), one univariate Euclidean resultant per point
-(resultant_batch) and Newton interpolation (interpolate_monomial).
+points (eval_x_batch), the univariate Euclidean resultant at every point at
+once (resultant_batch: one numpy remainder step per group of points that
+share a degree sequence) and Newton interpolation (interpolate_monomial).
 """
 
 from __future__ import annotations
@@ -128,53 +129,72 @@ def eval_x_batch(c_mat: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _powmod(base: np.ndarray, e: int, p: int) -> np.ndarray:
+    """Elementwise base^e mod p for residues and a scalar exponent e >= 0."""
+    out = np.ones_like(base)
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _degrees(c: np.ndarray) -> np.ndarray:
+    """Per column, the index of the last nonzero row; -1 for a zero column."""
+    nz = c != 0
+    last = c.shape[0] - 1 - np.argmax(nz[::-1], axis=0)
+    return np.where(nz.any(axis=0), last, -1)
+
+
 def resultant_batch(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
     """Res_y at each sample point, from value tables produced by eval_x_batch.
 
-    Column t of ``fv`` and ``gv`` holds the residues of the two polynomials
-    at one sample point, row b being the coefficient of y^b.  Trailing zero
+    Column t of ``fv`` and ``gv`` holds the residues (in [0, p)) of the two
+    polynomials at one sample point, row b being the coefficient of y^b.  Trailing zero
     rows are trimmed per column, so the degrees may differ from point to
     point; a column where either polynomial vanishes gives 0.
+
+    The Euclidean resultant recurrence runs on whole groups of columns at
+    once: a group is a set of columns sharing the current degree pair
+    (da, db), stored as a (da + 1, ncols) and a (db + 1, ncols) array with
+    the running resultant factor per column.  One step reduces a modulo b
+    for every column (leading inverses by a vectorized powmod), applies
+    the sign (-1)^(da*db) and lc(b)^(da - dr), and regroups the columns by
+    their remainder degree dr, so a column whose degree sequence departs
+    from the others (a drop by more than one, da < db, a zero remainder)
+    continues in a group of its own.  Every product of two residues, and a
+    residue minus such a product, stays inside int64 because p < isqrt(2^63).
     """
-    npoints = fv.shape[1]
-    out = np.zeros(npoints, dtype=np.int64)
-    for tix in range(npoints):
-        a = [int(v) for v in fv[:, tix]]
-        b = [int(v) for v in gv[:, tix]]
-        while a and a[-1] == 0:
-            a.pop()
-        while b and b[-1] == 0:
-            b.pop()
-        if not a or not b:
-            out[tix] = 0
+    fv = np.asarray(fv, dtype=np.int64)
+    gv = np.asarray(gv, dtype=np.int64)
+    out = np.zeros(fv.shape[1], dtype=np.int64)
+    dfs, dgs = _degrees(fv), _degrees(gv)
+    live = (dfs >= 0) & (dgs >= 0)
+    work = []
+    for da, db in set(zip(dfs[live].tolist(), dgs[live].tolist())):
+        cols = np.nonzero(live & (dfs == da) & (dgs == db))[0]
+        ones = np.ones(cols.size, dtype=np.int64)
+        work.append((cols, fv[: da + 1, cols], gv[: db + 1, cols], da, db, ones))
+    while work:
+        cols, a, b, da, db, res = work.pop()
+        if db == 0:
+            out[cols] = res * _powmod(b[0], da, p) % p
             continue
-        da, db = len(a) - 1, len(b) - 1
-        res = 1
-        while db > 0:
-            binv = pow(b[-1], p - 2, p)
+        if da >= db:
+            binv = _powmod(b[db], p - 2, p)
             for top in range(da, db - 1, -1):
-                lead = a[top]
-                if lead == 0:
-                    continue
-                f = lead * binv % p
-                sh = top - db
-                for i in range(db + 1):
-                    a[sh + i] = (a[sh + i] - f * b[i]) % p
-            r = a[:db]
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
-                res = 0
-                break
-            dr = len(r) - 1
-            if (da * db) & 1:
-                res = p - res
-            res = res * pow(b[-1], da - dr, p) % p
-            a, b = b, r
-            da, db = db, dr
-        else:
-            res = res * pow(b[0], da, p) % p
-        out[tix] = res
+                f = a[top] * binv % p
+                a[top - db : top + 1] = (a[top - db : top + 1] - f * b) % p
+        r = a[:db]
+        drs = _degrees(r)
+        if (da * db) & 1:
+            res = p - res
+        # A zero remainder leaves its columns at 0 in ``out``.
+        for dr in set(drs[drs >= 0].tolist()):
+            sub = drs == dr
+            step = res[sub] * _powmod(b[db, sub], da - dr, p) % p
+            work.append((cols[sub], b[:, sub], r[: dr + 1, sub], db, dr, step))
     return out
 
 

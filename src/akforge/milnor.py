@@ -317,9 +317,15 @@ def _sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
     return pts
 
 
-def _modular_valuation(P, Q, bound: int, p: int) -> int | None:
+def _exact_valuation(P, Q, count: int) -> int | None:
+    pts = _sample_points(P, Q, count)
+    return _interp_valuation_exact(pts, _exact_resultant_values(P, Q, pts))
+
+
+def _modular_interpolant(P, Q, count: int, p: int) -> np.ndarray:
+    """Coefficients mod p of the interpolant of Res_y(P, Q) through ``count`` points."""
     py, qy = P.degree_in("y"), Q.degree_in("y")
-    pts = _sample_points(P, Q, bound + 1, p)
+    pts = _sample_points(P, Q, count, p)
     pts_arr = np.array(pts, dtype=np.int64)
     pmat = np.array([[c % p for c in row] for row in _dense_y_matrix(P)], dtype=np.int64)
     qmat = np.array([[c % p for c in row] for row in _dense_y_matrix(Q)], dtype=np.int64)
@@ -335,8 +341,11 @@ def _modular_valuation(P, Q, bound: int, p: int) -> int | None:
         fv = eval_x_batch(pmat, pts_arr, p)
         gv = eval_x_batch(qmat, pts_arr, p)
         vals = resultant_batch(fv, gv, p)
-    coeffs = interpolate_monomial(pts_arr, vals, p)
-    nz = np.nonzero(coeffs)[0]
+    return interpolate_monomial(pts_arr, vals, p)
+
+
+def _modular_valuation(P, Q, count: int, p: int) -> int | None:
+    nz = np.nonzero(_modular_interpolant(P, Q, count, p))[0]
     return int(nz[0]) if nz.size else None
 
 
@@ -359,6 +368,21 @@ def milnor_resultant(
     (x, y) -> (x + t*y, y) until the genericity conditions hold: other
     critical points stay off the line x = 0 and neither partial drops
     y-degree there.
+
+    The resultant is interpolated through deg_x Res + 1 sample points, with
+
+        deg_x Res_y(P, Q) <= min(qy*deg_x P + py*deg_x Q, qy*m + py*n - py*qy)
+
+    for y-degrees py, qy and total degrees m, n of P and Q.  The first bound
+    reads the x-degrees off the Sylvester matrix row by row; for the second,
+    the entry in P-row i (0 <= i < qy) and column j is the coefficient of
+    y^(py-j+i), of x-degree at most m - py + j - i, and in Q-row i
+    (0 <= i < py) it has x-degree at most n - qy + j - i, so every term of
+    the determinant has x-degree at most qy*(m-py) + py*(n-qy) + sum_j j -
+    sum_{i<qy} i - sum_{i<py} i = qy*m + py*n - py*qy, never more than the
+    classical m*n (Fulton, *Algebraic Curves*, section 1.6).  The ``auto``
+    switch to modular arithmetic compares the first bound with
+    _EXACT_RESULTANT_LIMIT.
     """
     if arithmetic not in ("auto", "exact", "modular"):
         raise InvalidInput(f"unknown arithmetic {arithmetic!r}")
@@ -392,20 +416,19 @@ def milnor_resultant(
         if not _is_monomial_univ(gcd0):
             continue
         bound = qy * P.degree_in("x") + py * Q.degree_in("x")
+        count = min(bound, qy * P.total_degree + py * Q.total_degree - py * qy) + 1
         mode = arithmetic
         if mode == "auto":
             mode = "exact" if bound <= _EXACT_RESULTANT_LIMIT else "modular"
         if mode == "exact":
-            pts = _sample_points(P, Q, bound + 1)
-            val = _interp_valuation_exact(pts, _exact_resultant_values(P, Q, pts))
+            val = _exact_valuation(P, Q, count)
             arith_used = "exact"
         else:
             p1, p2 = primes_from_seed(2)
-            v1 = _modular_valuation(P, Q, bound, p1)
-            v2 = _modular_valuation(P, Q, bound, p2)
+            v1 = _modular_valuation(P, Q, count, p1)
+            v2 = _modular_valuation(P, Q, count, p2)
             if v1 != v2:
-                pts = _sample_points(P, Q, bound + 1)
-                val = _interp_valuation_exact(pts, _exact_resultant_values(P, Q, pts))
+                val = _exact_valuation(P, Q, count)
                 arith_used = "exact"
             else:
                 val = v1

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akforge._exactrank import (
     det_bareiss,
@@ -250,6 +252,113 @@ def test_resultant_batch_many_columns():
         sequences.add(remainder_degrees(a, b))
         common_roots += want[-1] == 0
     assert len(sequences) >= 20 and common_roots >= 10
+    assert resultant_batch(fv, gv, p).tolist() == want
+
+
+def test_resultant_batch_da_below_db_in_every_column():
+    # 40 columns, each with deg a < deg b and degree pairs that differ from
+    # column to column: every group's first step is a bare swap of a and b.
+    rng = random.Random(5757)
+    (p,) = primes_from_seed(1, seed=8)
+    fv = np.zeros((7, 40), dtype=np.int64)
+    gv = np.zeros((7, 40), dtype=np.int64)
+    want = []
+    for col in range(40):
+        da = rng.randrange(0, 4)
+        db = rng.randrange(da + 1, 7)
+        a = [rng.randrange(p) for _ in range(da)] + [rng.randrange(1, p)]
+        b = [rng.randrange(p) for _ in range(db)] + [rng.randrange(1, p)]
+        fv[: da + 1, col] = a
+        gv[: db + 1, col] = b
+        want.append(det_bareiss(sylvester_matrix(a, b)) % p)
+    assert resultant_batch(fv, gv, p).tolist() == want
+
+
+(KERNEL_PRIME,) = primes_from_seed(1, seed=8)
+
+# Degree pairs (deg a, deg b) that a drawn batch shares: deg a < deg b,
+# deg a >= deg b + 2, constants and equal degrees.
+DEGREE_PAIRS = [(1, 4), (2, 5), (6, 3), (5, 1), (0, 3), (4, 0), (0, 0), (4, 4), (3, 2)]
+
+
+def mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = (out[i + j] + u * v) % p
+    return out
+
+
+def add_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return [(u + v) % p for u, v in zip(a, b)]
+
+
+@st.composite
+def resultant_batches(draw):
+    """Columns (a, b) mod p sharing one degree pair, of up to four kinds.
+
+    generic: random coefficients.  zero: a, b or both are the zero
+    polynomial.  root: a and b share the factor y - r.  drop: a and b are
+    built from a remainder sequence whose degrees fall by one and then by
+    two, e.g. 6, 3, 2, 0 (or by two at once when deg b = 2).
+    """
+    p = KERNEL_PRIME
+    da, db = draw(st.sampled_from(DEGREE_PAIRS))
+
+    def poly(deg):  # low to high, nonzero leading coefficient
+        low = draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg))
+        return low + [draw(st.integers(1, p - 1))]
+
+    def from_remainders(degs):
+        # r_(i-1) = q_i * r_i + r_(i+1): the Euclidean remainders of
+        # (r_0, r_1) have exactly the degrees degs[2:].
+        rs = [poly(degs[-2]), poly(degs[-1])]
+        for d in reversed(degs[:-2]):
+            q = poly(d - len(rs[0]) + 1)
+            rs.insert(0, add_mod(mul_mod(q, rs[0], p), rs[1], p))
+        return rs[0], rs[1]
+
+    kinds = ["generic", "zero"]
+    if min(da, db) >= 1:
+        kinds.append("root")
+    if da >= db >= 2:
+        kinds.append("drop")
+    columns = []
+    for kind in kinds + draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        if kind == "generic":
+            a, b = poly(da), poly(db)
+        elif kind == "zero":
+            which = draw(st.sampled_from(["a", "b", "both"]))
+            a = [0] * (da + 1) if which != "b" else poly(da)
+            b = [0] * (db + 1) if which != "a" else poly(db)
+        elif kind == "root":
+            lin = [(-draw(st.integers(0, p - 1))) % p, 1]
+            a, b = mul_mod(poly(da - 1), lin, p), mul_mod(poly(db - 1), lin, p)
+        else:
+            tail = [db - 1, db - 3] if db >= 3 else [db - 2]
+            a, b = from_remainders([da, db, *tail])
+        columns.append((kind, a, b))
+    return draw(st.permutations(columns))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(resultant_batches())
+def test_resultant_batch_property_matches_sylvester(columns):
+    p = KERNEL_PRIME
+    # One spare zero row on top: the kernel trims it per column.
+    fv = np.zeros((8, len(columns)), dtype=np.int64)
+    gv = np.zeros((8, len(columns)), dtype=np.int64)
+    want = []
+    for col, (kind, a, b) in enumerate(columns):
+        fv[: len(a), col] = a
+        gv[: len(b), col] = b
+        if not any(a) or not any(b):
+            want.append(0)
+        else:
+            want.append(det_bareiss(sylvester_matrix(a, b)) % p)
+            assert kind != "root" or want[-1] == 0
     assert resultant_batch(fv, gv, p).tolist() == want
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from test_acceptance import _random_changes
 
 import akforge.milnor as milnor_mod
+from akforge._modp import primes_from_seed
 from akforge.errors import (
     GenericityFailure,
     InvalidInput,
@@ -19,6 +22,7 @@ from akforge.milnor import (
     milnor_resultant,
     milnor_truncated,
 )
+from akforge.family import build_F
 from akforge.poly import SparsePoly, parse_poly
 
 
@@ -109,6 +113,38 @@ def test_member_s1_modular_resultant():
     assert r.mu == 731
     assert r.method == "resultant"
     assert r.arithmetic.startswith("two-prime-modular(")
+
+
+def test_member_s2_modular_resultant():
+    r = milnor_resultant(build_F(2).F, arithmetic="modular")
+    assert r.mu == 2260
+    assert r.arithmetic.startswith("two-prime-modular(")
+
+
+def test_resultant_degree_within_total_degree_bound():
+    # deg_x Res_y(P, Q) <= qy*m + py*n - py*qy (m, n total degrees), checked
+    # on an interpolant through the count the x-degrees alone give, which is
+    # never smaller.  The exact valuation does not depend on which count is used.
+    (p,) = primes_from_seed(1)
+    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
+    germs = [build_F(0).F, build_F(1).F]
+    germs += [f for k, f in _random_changes(random.Random(6336), 110, 15) if k <= 8]
+    sharper = 0
+    for i, f in enumerate(germs):
+        for t in milnor_mod._shear_values(i)[:3]:
+            g = f.compose(xv + yv.scale(t), yv)
+            P = milnor_mod._scale_integer(g.diff("x"))
+            Q = milnor_mod._scale_integer(g.diff("y"))
+            py, qy = P.degree_in("y"), Q.degree_in("y")
+            old = qy * P.degree_in("x") + py * Q.degree_in("x")
+            sharp = qy * P.total_degree + py * Q.total_degree - py * qy
+            top = np.nonzero(milnor_mod._modular_interpolant(P, Q, old + 1, p))[0]
+            assert top.size == 0 or top[-1] <= sharp, (i, t)
+            sharper += sharp < old
+            if t == 0 and old <= 100:
+                want = milnor_mod._exact_valuation(P, Q, old + 1)
+                assert milnor_mod._exact_valuation(P, Q, min(old, sharp) + 1) == want
+    assert sharper >= 100
 
 
 def test_modular_truncated_matches_exact():
