@@ -1,0 +1,163 @@
+"""Layer-by-layer timing of the splitting-lemma classifier.
+
+    PYTHONPATH=src python3 benchmarks/bench_classify.py --label after
+    PYTHONPATH=<other checkout>/src python3 benchmarks/bench_classify.py --label before
+
+Times ``split_and_classify`` on the family members F(1)..F(4), on the 66
+classify germs of perfbench's germ-classify workload at seed 101 (the two
+family members of that workload excluded; texts parsed before timing) and
+on the polynomial-branch germ (y - x^60)^2.  Inside each call it splits the
+time into the coordinate change (``_y_square_chart``, or the older
+``_rotate_corank_one``), the branch lift (``_lift``, or the older
+``_newton_branch``; every evaluation it makes is counted as lift time) and
+the evaluation of f on the lifted branch (``_eval_on_branch`` outside the
+lift).  The names are wrapped in ``akforge.classify``, so the script runs
+unchanged against a checkout that has either set.  The verdicts are kept
+(for the germs, their count and sha256), so two records can be checked for
+identical results.  Each case runs up to three times, stopping once 10 s
+have been spent on it; the median run is reported.  The record is stored
+under ``runs[<label>]`` of ``benchmarks/BENCH_classify.json``; records
+under other labels are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from collections import Counter, defaultdict
+from pathlib import Path
+
+import akforge
+import akforge.classify as classify
+from akforge.errors import AkforgeError
+from akforge.family import build_F
+from akforge.poly import parse_poly
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import germ_classify  # noqa: E402
+
+COORDINATES = ("_y_square_chart", "_rotate_corank_one")
+LIFTS = ("_lift", "_newton_branch")
+MEMBERS = (1, 2, 3, 4)
+GERM_SEED = 101
+OUT = Path(__file__).resolve().parent / "BENCH_classify.json"
+
+
+def environment() -> dict:
+    src = Path(akforge.__file__).resolve().parent
+
+    def git(*argv: str) -> str:
+        run = subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True)
+        return run.stdout.strip()
+
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "akforge_commit": git("rev-parse", "HEAD"),
+        "akforge_uncommitted_changes": bool(git("status", "--porcelain", "--", ".")),
+    }
+
+
+def timed_run(germs: list) -> dict:
+    """Classify every germ once with the layers wrapped; times and verdicts."""
+    spent: dict[str, float] = defaultdict(float)
+    calls: Counter = Counter()
+    inside_lift = [0]
+    names = [n for n in (*COORDINATES, *LIFTS, "_eval_on_branch") if hasattr(classify, n)]
+    originals = {name: getattr(classify, name) for name in names}
+
+    def wrap(name, fn):
+        layer = (
+            "coordinates" if name in COORDINATES else "lift" if name in LIFTS else "branch_eval"
+        )
+
+        def inner(*args, **kwargs):
+            if layer == "branch_eval" and inside_lift[0]:
+                calls["eval_in_lift"] += 1
+                return fn(*args, **kwargs)
+            calls[layer] += 1
+            inside_lift[0] += layer == "lift"
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[layer] += time.perf_counter() - t0
+                inside_lift[0] -= layer == "lift"
+
+        return inner
+
+    for name, fn in originals.items():
+        setattr(classify, name, wrap(name, fn))
+    verdicts = []
+    try:
+        t0 = time.perf_counter()
+        for f in germs:
+            try:
+                verdicts.append(repr(classify.split_and_classify(f)))
+            except AkforgeError as exc:
+                verdicts.append(type(exc).__name__)
+        total = time.perf_counter() - t0
+    finally:
+        for name, fn in originals.items():
+            setattr(classify, name, fn)
+    layers = {name: round(spent[name], 4) for name in ("coordinates", "lift", "branch_eval")}
+    return {
+        "verdicts": verdicts if len(verdicts) == 1 else {
+            "count": len(verdicts),
+            "sha256": hashlib.sha256("\n".join(verdicts).encode()).hexdigest(),
+        },
+        "total_s": round(total, 4),
+        "layers_s": layers,
+        "other_s": round(total - sum(spent.values()), 4),
+        "calls": dict(sorted(calls.items())),
+    }
+
+
+def measure(germs: list) -> dict:
+    runs = []
+    while len(runs) < 3 and sum(r["total_s"] for r in runs) < 10.0:
+        runs.append(timed_run(germs))
+    runs.sort(key=lambda r: r["total_s"])
+    row = dict(runs[len(runs) // 2])
+    row["repeats"] = len(runs)
+    return row
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this record in the JSON")
+    args = ap.parse_args()
+    germ_texts = [
+        inp["poly"]
+        for inp in germ_classify(GERM_SEED, small=False)
+        if inp["op"] == "classify" and not inp["id"].startswith("F(")
+    ]
+    cases = {f"F({s})": [build_F(s).F] for s in MEMBERS}
+    cases[f"germ-classify seed {GERM_SEED} ({len(germ_texts)} germs)"] = [
+        parse_poly(t) for t in germ_texts
+    ]
+    cases["(y - x^60)^2"] = [parse_poly("(y - x^60)^2")]
+    classify.split_and_classify(build_F(0).F)  # warm-up
+    rows = {}
+    for name, germs in cases.items():
+        rows[name] = measure(germs)
+        print(name, json.dumps(rows[name]), flush=True)
+    record = {
+        "environment": environment(),
+        "medians_over": "up to 3 runs per case, stopping after 10 s",
+        "cases": rows,
+    }
+    data = json.loads(OUT.read_text()) if OUT.exists() else {"runs": {}}
+    data["runs"][args.label] = record
+    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -74,12 +74,10 @@ class XSeries:
         return cls([1], 1, prec)
 
     @classmethod
-    def from_fractions(cls, coeffs: list[Fraction], prec: int) -> "XSeries":
-        den = 1
-        for c in coeffs[:prec]:
-            den = lcm(den, Fraction(c).denominator)
-        num = [int(Fraction(c) * den) for c in coeffs[:prec]]
-        return cls(num, den, prec)
+    def from_fractions(cls, coeffs: list[Fraction | int], prec: int) -> "XSeries":
+        coeffs = coeffs[:prec]
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls([c.numerator * (den // c.denominator) for c in coeffs], den, prec)
 
     def coefficient(self, i: int) -> Fraction:
         if not 0 <= i < self.prec:

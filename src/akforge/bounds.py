@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from akforge.errors import InvalidInput
+from akforge.errors import InvalidInput, require_int
 
 __all__ = [
     "InertiaIndices",
@@ -90,16 +90,14 @@ def upper_bound(d: int) -> int:
         upper_bound(d)/d^2 = 3/4 - 3/(2d) + 1/d^2      (d even)
         upper_bound(d)/d^2 = 3/4 - 1/d + 1/(4d^2)      (d odd)
     """
-    if not isinstance(d, int) or d < 1:
-        raise InvalidInput(f"degree must be a positive integer, got {d!r}")
+    require_int(d, "degree", 1)
     half = d // 2
     return (d - 1) ** 2 - half * (half - 1)
 
 
 def steenbrink_inertia(d: int) -> InertiaIndices:
     """Inertia indices of the intersection form of x^d + y^d + z^2."""
-    if not isinstance(d, int) or d < 2:
-        raise InvalidInput(f"degree must be an integer >= 2, got {d!r}")
+    require_int(d, "degree", 2)
     plus = zero = minus = 0
     # l(a, b) depends only on t = a + b + 2, so count each diagonal once.
     for t in range(2, 2 * d - 1):
@@ -120,8 +118,7 @@ def ratio_table(s_max: int) -> list[RatioRow]:
     # Imported here because the family module needs upper_bound at load time.
     from akforge.family import family_params
 
-    if not isinstance(s_max, int) or s_max < 0:
-        raise InvalidInput(f"s_max must be a non-negative integer, got {s_max!r}")
+    require_int(s_max, "s_max", 0)
     rows = []
     for s in range(s_max + 1):
         params = family_params(s)

@@ -5,9 +5,13 @@ inspects a prepared weighted series and accepts exactly when, apart from
 the two segment endpoints z^2 and x^(k+1), every retained term lies
 strictly above the segment joining (0,2) and (k+1,0); such a germ is
 semi-quasihomogeneous with principal part z^2 + c*x^(k+1), hence of type
-A_k.  The splitting-lemma classifier handles arbitrary corank-at-most-one
-germs: it removes the square via one Newton-solved branch h(x) with
-f_y(x, h(x)) = 0 and reads k off the x-order of f(x, h(x)).
+A_k.  The splitting-lemma classifier handles corank-at-most-one germs in
+their own coordinates.  With c = f_yy(0, 0)/2 != 0, the branch h(x) with
+f_y(x, h(x)) = 0, h(0) = 0 gives f = f(x, h) + (y - h)^2 * u, u(0, 0) = c,
+and k = ord_x f(x, h(x)) - 1.  No rotation is needed: for a corank-one
+quadratic part a*x^2 + b*x*y + c*y^2 the 2-jet of f(x, h(x)) is
+(4ac - b^2)/(4c) * x^2 = 0.  Each precision rung is one Newton step, which
+takes the root mod x^p to the root mod x^(2p).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import (
     NonIsolated,
     NotACriticalGerm,
     WindowTooSmall,
+    require_int,
 )
 from .poly import Monomial, SparsePoly
 from .series import TruncatedSeries, Weights
@@ -112,73 +117,66 @@ def hessian_corank(f: SparsePoly) -> int:
     return 0
 
 
-def _rotate_corank_one(f: SparsePoly) -> SparsePoly:
-    """Linear change making the quadratic part a nonzero multiple of y^2.
-
-    The new x-axis follows the Hessian kernel.  When the quadratic part is
-    already c*y^2 the change is the identity; when it is a*x^2 the two
-    variables are swapped; otherwise the kernel vector (b, -2a) becomes the
-    x-direction.
-    """
-    a, b, c = _quadratic_entries(f)
-    if a == 0 and b == 0:
+def _y_square_chart(f: SparsePoly) -> SparsePoly:
+    """f, or f with x and y swapped if its y^2 coefficient is 0 (then b = 0)."""
+    if f.coefficient(0, 2) != 0:
         return f
-    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
-    if b == 0:
-        return f.compose(yv, xv)
-    # x -> b*X, y -> -2a*X + Y
-    return f.compose(xv.scale(b), xv.scale(-2 * a) + yv)
+    return SparsePoly({(m.ey, m.ex): c for m, c in f.terms()})
 
 
-_PRECISION_START = 16
+Layers = list[tuple[int, XSeries]]
 
 
-def _eval_on_branch(f: SparsePoly, h: XSeries) -> XSeries:
-    """f(x, h(x)) truncated to the precision of h."""
-    prec = h.prec
-    layers = f.coeffs_in_y()
-    acc = XSeries.zero(prec)
-    power = XSeries.one(prec)
-    level = 0
-    for b in sorted(layers):
-        while level < b:
-            power = power * h
-            level += 1
-        layer = XSeries.from_fractions(
-            [layers[b].get(i, Fraction(0)) for i in range(max(layers[b]) + 1)], prec
-        )
-        acc = acc + layer * power
+def _y_layers(f: SparsePoly) -> Layers:
+    """(y-exponent, exact x-polynomial) pairs of f, highest exponent first."""
+    layers = sorted(f.coeffs_in_y().items(), reverse=True)
+    dense = [(e, [c.get(i, 0) for i in range(max(c) + 1)]) for e, c in layers]
+    return [(e, XSeries.from_fractions(coeffs, len(coeffs))) for e, coeffs in dense]
+
+
+def _eval_on_branch(layers: Layers, h: XSeries) -> XSeries:
+    """f(x, h(x)) mod x^prec(h), by Horner over the y-exponents of f."""
+    acc = XSeries.zero(h.prec)
+    level = layers[0][0]
+    for e, layer in layers:
+        for _ in range(level - e):
+            acc = acc * h
+        level = e
+        acc = acc + layer.resize(h.prec)
+    for _ in range(level):
+        acc = acc * h
     return acc
 
 
-def _newton_branch(fy: SparsePoly, fyy: SparsePoly, prec: int, seed: XSeries) -> XSeries:
-    """Solve f_y(x, h(x)) = 0 with h(0) = 0 by Newton iteration."""
-    h = seed.resize(prec)
-    for _ in range(prec.bit_length() + 4):
-        num = _eval_on_branch(fy, h)
-        if num.is_zero():
-            return h
-        den = _eval_on_branch(fyy, h)
-        nxt = h - num / den
-        if nxt == h:
-            return h
-        h = nxt
-    return h
+def _lift(fy: Layers, fyy: Layers, h: XSeries) -> XSeries:
+    """The root of f_y(x, h(x)) = 0 mod x^(2p), from h, the root mod x^p.
+
+    One Newton step; it is skipped when f_y(x, h) already vanishes mod x^(2p).
+    """
+    h = h.resize(2 * h.prec)
+    num = _eval_on_branch(fy, h)
+    if num.is_zero():
+        return h
+    return h - num / _eval_on_branch(fyy, h)
 
 
 def split_and_classify(f: SparsePoly, cap: int | None = None) -> AkResult:
     """Classify a germ as A_k, Smooth, NotCorankOne, or Undetermined.
 
-    For corank one the germ splits as unit * z^2 + g(x) with
-    g(x) = f(x, h(x)); k is ord_x(g) - 1, searched with doubling precision.
-    The search stops on its own: an isolated point of a degree-d curve has
-    k = mu <= (d-1)^2 by Bezout applied to the two partials, so once g
-    vanishes mod x^prec with prec > (d-1)^2 + 1 the germ is proven
-    non-isolated and NonIsolated is raised.  An optional ``cap`` is a user
-    budget: past a vanishing order of ``cap`` the result is Undetermined.
+    For corank one, with c = f_yy(0, 0)/2 != 0 (x and y swapped otherwise),
+    let h solve f_y(x, h(x)) = 0, h(0) = 0.  Then f = f(x, h) + (y - h)^2 * u
+    with u(0, 0) = c, so f splits as unit * z^2 + g(x), g(x) = f(x, h(x)), and
+    k = ord_x(g) - 1; the 2-jet (4ac - b^2)/(4c) * x^2 of g vanishes.  h starts
+    at 0, the root mod x, and each rung 2, 4, 8, ... is one Newton step, which
+    doubles the precision of the simple root.  The search stops on its own: an
+    isolated point of a degree-d curve has k = mu <= (d-1)^2 by Bezout applied
+    to the two partials, so once g vanishes mod x^prec with prec > (d-1)^2 + 1
+    the germ is proven non-isolated and NonIsolated is raised.  An optional
+    ``cap`` is a user budget: past a vanishing order of ``cap`` the result is
+    Undetermined.
     """
-    if cap is not None and cap < 1:
-        raise InvalidInput("cap must be positive")
+    if cap is not None:
+        require_int(cap, "cap", 1)
     if f.coefficient(0, 0) != 0:
         raise NotACriticalGerm("the germ must vanish at the origin")
     if f.coefficient(1, 0) != 0 or f.coefficient(0, 1) != 0:
@@ -188,24 +186,23 @@ def split_and_classify(f: SparsePoly, cap: int | None = None) -> AkResult:
         return AkResult("A_k", k=1)
     if corank == 2:
         return AkResult("NotCorankOne")
-    g = _rotate_corank_one(f)
-    bezout = (g.total_degree - 1) ** 2 + 1
-    fy, fyy = g.diff("y"), g.diff("y").diff("y")
-    prec = _PRECISION_START
-    h = XSeries.zero(prec)
+    f = _y_square_chart(f)
+    bezout = (f.total_degree - 1) ** 2 + 1
+    fy = f.diff("y")
+    layers, fy_layers, fyy_layers = map(_y_layers, (f, fy, fy.diff("y")))
+    h = XSeries.zero(1)
     while True:
-        h = _newton_branch(fy, fyy, prec, h)
-        order = _eval_on_branch(g, h).order()
+        h = _lift(fy_layers, fyy_layers, h)
+        order = _eval_on_branch(layers, h).order()
         if order is not None:
             if cap is not None and order > cap:
                 return AkResult("Undetermined", cap=cap)
             return AkResult("A_k", k=order - 1)
-        if prec > bezout:
+        if h.prec > bezout:
             raise NonIsolated(
-                f"f(x, h(x)) vanishes mod x^{prec}, past the Bezout bound "
+                f"f(x, h(x)) vanishes mod x^{h.prec}, past the Bezout bound "
                 f"k + 1 <= (d-1)^2 + 1 = {bezout}: the critical locus "
                 "contains a curve through the origin"
             )
-        if cap is not None and prec > cap:
+        if cap is not None and h.prec > cap:
             return AkResult("Undetermined", cap=cap)
-        prec *= 2

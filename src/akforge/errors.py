@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check."""
 
 from __future__ import annotations
 
@@ -61,3 +61,12 @@ class NonIsolated(AkforgeError):
 
 class GenericityFailure(AkforgeError):
     """All sheared resultant attempts failed the genericity checks."""
+
+
+def require_int(value, what: str, least: int) -> None:
+    """Raise InvalidInput unless ``value`` is an int no smaller than ``least``.
+
+    bool is rejected although it subclasses int: True is no count or index.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InvalidInput(f"{what} must be an integer >= {least}, got {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from akforge.bounds import upper_bound
 from akforge.classify import AkCertificate, newton_ak_certify
-from akforge.errors import CertificationFailed, IdentityViolation, InvalidInput
+from akforge.errors import CertificationFailed, IdentityViolation, require_int
 from akforge.milnor import MilnorReport, milnor_number, milnor_resultant
 from akforge.poly import SparsePoly, format_rational
 from akforge.series import TruncatedSeries, Weights, compose_curve, invert_change
@@ -122,14 +122,9 @@ class FamilyCertificate:
         }
 
 
-def _require_index(s: int) -> None:
-    if not isinstance(s, int) or s < 0:
-        raise InvalidInput(f"family index must be a non-negative integer, got {s!r}")
-
-
 def family_params(s: int) -> FamilyParams:
     """Exponents (l, m), degree d, and target k for member s."""
-    _require_index(s)
+    require_int(s, "family index", 0)
     l = 3 * s + 1
     m = 7 * s + 2
     d = 28 * s + 9

@@ -39,6 +39,7 @@ from .errors import (
     InvalidInput,
     NonIsolated,
     PreconditionViolated,
+    require_int,
 )
 from .poly import SparsePoly
 
@@ -141,8 +142,7 @@ def _require_no_constant(f: SparsePoly) -> None:
 
 def milnor_truncated(f: SparsePoly, M: int, *, arithmetic: str = "exact") -> int:
     """D(M): local-algebra dimension truncated below total degree M."""
-    if M < 1:
-        raise InvalidInput("truncation degree must be positive")
+    require_int(M, "truncation degree", 1)
     _require_no_constant(f)
     dims, _ = _dimension_profile(f.diff("x"), f.diff("y"), M, arithmetic)
     return dims[M]
@@ -163,6 +163,8 @@ def milnor_number(
     point non-isolated and raises NonIsolated.  A modular profile can only
     overstate D, so it is recomputed exactly before that conclusion.
     """
+    if expected is not None:
+        require_int(expected, "expected", 0)
     _require_no_constant(f)
     bezout = (f.total_degree - 1) ** 2
     fx, fy = f.diff("x"), f.diff("y")

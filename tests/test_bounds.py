@@ -28,7 +28,7 @@ def test_upper_bound_values():
 
 
 def test_upper_bound_rejects_bad_degree():
-    for bad in (0, -3, 2.5, "9"):
+    for bad in (0, -3, 2.5, "9", True):
         with pytest.raises(InvalidInput):
             upper_bound(bad)
 
@@ -41,7 +41,7 @@ def test_inertia_pinned_values():
 
 
 def test_inertia_rejects_bad_degree():
-    for bad in (1, 0, -2, 3.0):
+    for bad in (1, 0, -2, 3.0, True, Fraction(3)):
         with pytest.raises(InvalidInput):
             steenbrink_inertia(bad)
 
@@ -105,8 +105,9 @@ def test_ratio_table_rows():
     assert rows[0].ratio_k == Fraction(42, 81)
     assert rows[1].k_constructed == 731 and rows[1].upper == 990
     assert abs(rows[10].ratio_k - Fraction(15, 28)) < Fraction(1, 1000)
-    with pytest.raises(InvalidInput):
-        ratio_table(-1)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(InvalidInput):
+            ratio_table(bad)
 
 
 def test_ratio_table_monotone_toward_limit():

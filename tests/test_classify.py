@@ -6,12 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from akforge._xseries import XSeries
 from akforge.classify import (
     AkCertificate,
     AkResult,
+    _lift,
+    _y_layers,
+    _y_square_chart,
     hessian_corank,
     newton_ak_certify,
     split_and_classify,
@@ -117,8 +121,9 @@ def test_classify_basic_kinds():
     assert split_and_classify(parse_poly("x^3 + y^3")) == AkResult("NotCorankOne")
     with pytest.raises(NotACriticalGerm):
         split_and_classify(parse_poly("1 + y^2"))
-    with pytest.raises(InvalidInput):
-        split_and_classify(parse_poly("y^2"), cap=0)
+    for bad in (0, 2.5, True, "8"):
+        with pytest.raises(InvalidInput):
+            split_and_classify(parse_poly("y^2"), cap=bad)
 
 
 def test_classify_tangential_double_point():
@@ -131,6 +136,35 @@ def test_classify_rotated_normal_forms():
     # full quadratic corank-1 part
     assert split_and_classify(parse_poly("(x + y)^2 + x^3")).k == 2
     assert split_and_classify(parse_poly("(x - 2*y)^2 + y^6")).k == 5
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x + y)^2 + x^3",
+        "(x - 2*y)^2 + y^6 + x^3*y",
+        "(3*x - y + x*y)^2*(1 - x + 2*y) + x^9",
+        "1/4*y^2 + 2/3*x^5 + 1/3*x^2*y",
+        "(1/2*x - 3/5*y + 1/7*x^2)^2 + 1/3*y^7",
+        "x^2 + y^4 + x*y^2 - 2*x*y^3",
+    ],
+)
+def test_each_rung_lifts_the_branch_one_newton_step(text):
+    # quadratic parts with b != 0 and c != 0, rational coefficients, and a
+    # quadratic part x^2 that puts the germ through the variable swap
+    f = _y_square_chart(parse_poly(text))
+    assert f.coefficient(0, 2) != 0
+    fy = f.diff("y")
+    fy_layers, fyy_layers = _y_layers(fy), _y_layers(fy.diff("y"))
+    h = XSeries.zero(1)
+    for rung in range(1, 6):
+        h = _lift(fy_layers, fyy_layers, h)
+        assert h.prec == 2**rung
+        assert h.coefficient(0) == 0
+        # f_y(x, h(x)) by exact substitution, not by the classifier's Horner
+        branch = SparsePoly({(i, 0): c for i, c in enumerate(h.coefficients())})
+        residual = fy.subst("y", branch)
+        assert all(m.ex >= h.prec for m, _ in residual.terms()), (rung, h)
 
 
 def test_classify_undetermined_square():
@@ -162,6 +196,15 @@ def test_classify_cap_respected_then_released():
     assert split_and_classify(f, cap=4) == AkResult("Undetermined", cap=4)
     assert split_and_classify(f, cap=12).k == 11
     assert split_and_classify(f, cap=4096).k == 11
+
+
+def test_cap_below_the_bezout_stop_is_a_budget():
+    # (y - x^2)^2 is proven non-isolated on the first rung past (d-1)^2 + 1
+    # = 10; a smaller cap ends the search first, at rung 8
+    f = parse_poly("(y - x^2)^2")
+    assert split_and_classify(f, cap=5) == AkResult("Undetermined", cap=5)
+    with pytest.raises(NonIsolated, match="mod x\\^16"):
+        split_and_classify(f, cap=10)
 
 
 def test_classify_member_s0():
@@ -234,6 +277,31 @@ def test_classify_agrees_with_milnor_small_k():
         px, py = random_change(rng)
         g = f.compose(px, py)
         assert milnor_number(g, expected=k).mu == k
+
+
+invertible_linear = st.tuples(*[st.integers(-3, 3)] * 4).filter(
+    lambda m: m[0] * m[3] - m[1] * m[2] != 0
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(1, 12), st.integers(1, 40), invertible_linear)
+@example(3, 4, (1, 0, 0, 1))
+@example(4, 4, (2, 1, 1, 1))
+@example(7, 8, (1, -2, 3, 1))
+@example(8, 8, (0, 1, 1, 0))
+def test_cap_under_linear_changes(k, cap, m):
+    # the vanishing order k + 1 is first seen on rung 2, 4, 8, ... or later,
+    # so the examples put k + 1 and cap on a rung; k = 1 is read off the
+    # Hessian, before any cap applies
+    a, b, c, d = m
+    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
+    change = (xv.scale(a) + yv.scale(b), xv.scale(c) + yv.scale(d))
+    f = parse_poly(f"y^2 + x^{k + 1}").compose(*change)
+    if k == 1 or k + 1 <= cap:
+        assert split_and_classify(f, cap=cap) == AkResult("A_k", k=k)
+    else:
+        assert split_and_classify(f, cap=cap) == AkResult("Undetermined", cap=cap)
 
 
 small_ints = st.integers(-3, 3)

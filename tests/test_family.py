@@ -35,9 +35,11 @@ def test_family_params_identities():
 
 
 def test_family_params_rejects_bad_index():
-    for bad in (-1, 1.5, "0"):
+    for bad in (-1, 1.5, "0", True, False):
         with pytest.raises(InvalidInput):
             family_params(bad)
+    with pytest.raises(InvalidInput):
+        certify_member(True)
 
 
 def test_build_A_s0_exact():

@@ -34,8 +34,9 @@ def member_s0() -> SparsePoly:
 def test_truncated_dimension_basics():
     assert milnor_truncated(parse_poly("x^2 + y^2"), 3) == 1
     assert milnor_truncated(parse_poly("y^2 + x^6"), 8) == 5
-    with pytest.raises(InvalidInput):
-        milnor_truncated(parse_poly("x^2"), 0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(InvalidInput):
+            milnor_truncated(parse_poly("x^2"), bad)
     with pytest.raises(PreconditionViolated):
         milnor_truncated(parse_poly("1 + x^2"), 4)
 
@@ -95,6 +96,12 @@ def test_milnor_number_modular_non_isolated_is_exact(monkeypatch):
 def test_milnor_number_low_hint_only_sets_the_first_degree():
     # expected=10 starts at M = 13 and doubles past mu = 42
     assert milnor_number(member_s0(), expected=10).mu == 42
+
+
+def test_milnor_number_rejects_non_integer_hint():
+    for bad in (2.5, True, -1, "42"):
+        with pytest.raises(InvalidInput):
+            milnor_number(parse_poly("y^2 + x^3"), expected=bad)
 
 
 def test_member_s0_both_oracles_give_42():
