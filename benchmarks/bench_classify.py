@@ -3,10 +3,13 @@
     PYTHONPATH=src python3 benchmarks/bench_classify.py --label after
     PYTHONPATH=<other checkout>/src python3 benchmarks/bench_classify.py --label before
 
-Times ``split_and_classify`` on the family members F(1)..F(4), on the 66
-classify germs of perfbench's germ-classify workload at seed 101 (the two
-family members of that workload excluded; texts parsed before timing) and
-on the polynomial-branch germ (y - x^60)^2.  Inside each call it splits the
+Times ``split_and_classify`` on the family members F(1)..F(4), F(8), F(20)
+and F(200), on the 66 classify germs of perfbench's germ-classify workload
+at seed 101 (the two family members of that workload excluded; texts parsed
+before timing) and on the polynomial-branch germs (y - x^60)^2 and
+(y - x^500)^2.  The members run in increasing order; once one of them takes
+more than 60 s in a single run, the larger ones are recorded as skipped,
+with that reason, instead of being run.  Inside each call it splits the
 time into the coordinate change (``_y_square_chart``, or the older
 ``_rotate_corank_one``), the branch lift (``_lift``, or the older
 ``_newton_branch``; every evaluation it makes is counted as lift time) and
@@ -44,7 +47,8 @@ from perfbench.workloads import germ_classify  # noqa: E402
 
 COORDINATES = ("_y_square_chart", "_rotate_corank_one")
 LIFTS = ("_lift", "_newton_branch")
-MEMBERS = (1, 2, 3, 4)
+MEMBERS = (1, 2, 3, 4, 8, 20, 200)
+SKIP_AFTER_S = 60.0
 GERM_SEED = 101
 OUT = Path(__file__).resolve().parent / "BENCH_classify.json"
 
@@ -143,11 +147,22 @@ def main() -> None:
     cases[f"germ-classify seed {GERM_SEED} ({len(germ_texts)} germs)"] = [
         parse_poly(t) for t in germ_texts
     ]
-    cases["(y - x^60)^2"] = [parse_poly("(y - x^60)^2")]
+    for text in ("(y - x^60)^2", "(y - x^500)^2"):
+        cases[text] = [parse_poly(text)]
     classify.split_and_classify(build_F(0).F)  # warm-up
     rows = {}
+    slow = None
     for name, germs in cases.items():
-        rows[name] = measure(germs)
+        member = name.startswith("F(")
+        if member and slow:
+            rows[name] = {
+                "skipped": f"{slow[0]} took {slow[1]:.1f} s in one run, over the "
+                f"{SKIP_AFTER_S:.0f} s limit, so the larger members were not run"
+            }
+        else:
+            rows[name] = measure(germs)
+            if member and rows[name]["total_s"] > SKIP_AFTER_S:
+                slow = (name, rows[name]["total_s"])
         print(name, json.dumps(rows[name]), flush=True)
     record = {
         "environment": environment(),

@@ -130,21 +130,39 @@ Layers = list[tuple[int, XSeries]]
 def _y_layers(f: SparsePoly) -> Layers:
     """(y-exponent, exact x-polynomial) pairs of f, highest exponent first."""
     layers = sorted(f.coeffs_in_y().items(), reverse=True)
-    dense = [(e, [c.get(i, 0) for i in range(max(c) + 1)]) for e, c in layers]
-    return [(e, XSeries.from_fractions(coeffs, len(coeffs))) for e, coeffs in dense]
+    return [(e, XSeries.from_terms(c, max(c) + 1)) for e, c in layers]
+
+
+def _gap_powers(h: XSeries, exponents: set[int]) -> dict[int, XSeries]:
+    """h**e mod x^prec(h) for each positive e, by binary powering over shared squarings."""
+    squares = [h]
+    while (1 << len(squares)) <= max(exponents, default=0):
+        squares.append(squares[-1] * squares[-1])
+    out = {}
+    for e in exponents:
+        acc = None
+        for bit, sq in enumerate(squares):
+            if e >> bit & 1:
+                acc = sq if acc is None else acc * sq
+        out[e] = acc
+    return out
 
 
 def _eval_on_branch(layers: Layers, h: XSeries) -> XSeries:
-    """f(x, h(x)) mod x^prec(h), by Horner over the y-exponents of f."""
-    acc = XSeries.zero(h.prec)
-    level = layers[0][0]
-    for e, layer in layers:
-        for _ in range(level - e):
-            acc = acc * h
-        level = e
-        acc = acc + layer.resize(h.prec)
-    for _ in range(level):
-        acc = acc * h
+    """f(x, h(x)) mod x^prec(h), by Horner over the y-exponents of f.
+
+    Consecutive y-exponents e1 > e2 cost one product with h**(e1 - e2), and
+    each distinct gap is raised once per call by binary powering.  F(s) has
+    y-exponents 0, 1, 2, m+1, 2m+1, 3m+1, 4m+1 (m = 7s+2), so its gaps are
+    m, m-1 and 1: a few dozen products, not one per unit of y-degree.
+    """
+    exps = [e for e, _ in layers]
+    powers = _gap_powers(h, ({a - b for a, b in zip(exps, exps[1:])} | {exps[-1]}) - {0})
+    acc = layers[0][1].resize(h.prec)
+    for prev, (e, layer) in zip(exps, layers[1:]):
+        acc = acc * powers[prev - e] + layer.resize(h.prec)
+    if exps[-1]:
+        acc = acc * powers[exps[-1]]
     return acc
 
 

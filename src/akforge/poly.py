@@ -189,6 +189,9 @@ class SparsePoly:
     def __pow__(self, e: int) -> "SparsePoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self._terms) == 1:
+            ((ex, ey), c), = self._terms.items()
+            return SparsePoly._wrap({Monomial(ex * e, ey * e): c**e})
         result = _POLY_ONE
         base = self
         while e:

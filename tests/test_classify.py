@@ -13,6 +13,7 @@ from akforge._xseries import XSeries
 from akforge.classify import (
     AkCertificate,
     AkResult,
+    _eval_on_branch,
     _lift,
     _y_layers,
     _y_square_chart,
@@ -167,6 +168,32 @@ def test_each_rung_lifts_the_branch_one_newton_step(text):
         assert all(m.ex >= h.prec for m, _ in residual.terms()), (rung, h)
 
 
+@st.composite
+def germs_and_branches(draw):
+    """f with y-exponent gaps up to 12, and a series h of precision up to 40."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ey = draw(st.integers(0, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        for _ in range(rng.randrange(1, 4)):
+            terms[(rng.randrange(25), ey)] = Fraction(rng.randrange(1, 10), rng.randrange(1, 4))
+        ey += draw(st.integers(1, 12))
+    prec = draw(st.integers(1, 40))
+    h = {rng.randrange(prec): Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+         for _ in range(draw(st.integers(0, 4)))}
+    return SparsePoly(terms), XSeries.from_terms(h, prec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(germs_and_branches())
+@example((parse_poly("y^25 + x*y^13 + y^12 + x^3"), XSeries([0, 1, 1], prec=30)))
+def test_eval_on_branch_matches_exact_substitution(case):
+    f, h = case
+    branch = SparsePoly({(i, 0): c for i, c in enumerate(h.coefficients())})
+    exact = {m.ex: c for m, c in f.subst("y", branch).terms() if m.ex < h.prec}
+    assert _eval_on_branch(_y_layers(f), h) == XSeries.from_terms(exact, h.prec)
+
+
 def test_classify_undetermined_square():
     r = split_and_classify(parse_poly("y^2 + x^80"), cap=64)
     assert r == AkResult("Undetermined", cap=64)
@@ -226,6 +253,19 @@ def test_classify_agrees_with_certifier_small_members():
 def test_classify_member_s3_without_cap():
     # k + 1 = 4630 needs precision 8192, below the Bezout stop 92^2 + 1
     assert split_and_classify(build_member(3)) == AkResult("A_k", k=4629)
+
+
+@pytest.mark.parametrize("s", [8, 20, 200])
+def test_classify_far_members(s):
+    # the branch has about ten nonzero terms at precision up to 2^25, so the
+    # sparse series and the gap powers keep each member to milliseconds
+    assert split_and_classify(build_member(s)) == AkResult("A_k", k=420 * s * s + 269 * s + 42)
+
+
+def test_classify_high_order_and_high_degree_graph():
+    assert split_and_classify(parse_poly("y^2 + x^100001")) == AkResult("A_k", k=100000)
+    with pytest.raises(NonIsolated, match="Bezout"):
+        split_and_classify(parse_poly("(y - x^500)^2"))
 
 
 def build_member(s: int):

@@ -105,6 +105,20 @@ def test_power_matches_repeated_multiplication():
         p ** (-1)
 
 
+@pytest.mark.parametrize(
+    "base, e", [("x", 0), ("-x", 3), ("3/2*x^2*y", 5), ("x*y", 0), ("-7", 4), ("0", 2)]
+)
+def test_single_term_power_matches_repeated_multiplication(base, e):
+    # a one-term base is raised in one step, not by binary powering
+    p = parse_poly(base)
+    acc = SparsePoly.one()
+    for _ in range(e):
+        acc = acc * p
+    for power in (p**e, parse_poly(f"({base})^{e}")):
+        assert power == acc
+        assert all(type(m) is Monomial and type(c) is Fraction for m, c in power.terms())
+
+
 def test_square_coefficients_of_degree_eight_form():
     # (x^4 + 2x^3y^2 - 2x^2y^4 + 4xy^6 - 10y^8)^2, two spot coefficients
     # confirmed by expanding the cross terms by hand.

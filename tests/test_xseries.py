@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from akforge._xseries import XSeries
 
@@ -69,7 +72,7 @@ def test_add_mul_against_fraction_oracle():
         assert (a * b).coefficients() == fraction_product(fa, fb)
     for prec in (64, 300):
         sparse = rand_sparse_series(rng, prec)
-        assert sum(v == 0 for v in sparse.num) >= 0.9 * prec
+        assert len(sparse.terms) <= 0.1 * prec
         dense = rand_series(rng, prec)
         fs, fd = sparse.coefficients(), dense.coefficients()
         assert (sparse * sparse).coefficients() == fraction_product(fs, fs)
@@ -108,3 +111,97 @@ def test_resize():
     s = XSeries([1, 2, 3], prec=3)
     assert s.resize(5).coefficients() == [1, 2, 3, 0, 0]
     assert s.resize(2).coefficients() == [1, 2]
+
+
+# -- property tests against a Fraction-list oracle ----------------------------
+
+
+def draw_coeffs(rng: random.Random, prec: int, shape: str) -> list[Fraction]:
+    """Dense small rationals, a few large sparse ones, or a dense head and a sparse tail."""
+    coeffs = [Fraction(0)] * prec
+    head = {"dense": prec, "sparse": 0, "mixed": rng.randrange(min(prec, 20) + 1)}[shape]
+    for i in range(head):
+        coeffs[i] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+    if shape != "dense":
+        for i in rng.sample(range(prec), rng.randrange(max(1, prec // 10) + 1)):
+            coeffs[i] = Fraction(rng.randrange(-(2**30), 2**30), rng.randrange(1, 2**12))
+    return coeffs
+
+
+shapes = st.sampled_from(["dense", "sparse", "mixed"])
+
+
+@st.composite
+def operands(draw, count: int = 2):
+    """A precision up to 300 and ``count`` coefficient lists of drawn shapes."""
+    prec = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return prec, [draw_coeffs(rng, prec, draw(shapes)) for _ in range(count)]
+
+
+def assert_canonical(s: XSeries) -> None:
+    exps = [i for i, _ in s.terms]
+    assert exps == sorted(set(exps)) and all(0 <= i < s.prec for i in exps)
+    assert all(v for _, v in s.terms) and s.den > 0
+    assert math.gcd(s.den, *(v for _, v in s.terms)) == 1
+
+
+def oracle_reciprocal(fa: list[Fraction]) -> list[Fraction]:
+    # a = A/D with integer A; the inverse's coefficients are D * R_n / A_0^(n+1),
+    # where R_0 = 1 and R_n = -sum_(i=1..n) A_i * A_0^(i-1) * R_(n-i)
+    d = math.lcm(*(c.denominator for c in fa))
+    A = [int(c * d) for c in fa]
+    lead = [A[0] ** i for i in range(len(A) + 1)]
+    R = [1]
+    for n in range(1, len(A)):
+        R.append(-sum(A[i] * lead[i - 1] * R[n - i] for i in range(1, n + 1) if A[i]))
+    return [Fraction(d * r, lead[n + 1]) for n, r in enumerate(R)]
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@PROPERTY
+@given(operands())
+@example((300, [draw_coeffs(random.Random(1), 300, "dense")] * 2))
+@example((300, [draw_coeffs(random.Random(2), 300, sh) for sh in ("sparse", "mixed")]))
+def test_ring_operations_against_fraction_oracle(case):
+    prec, (fa, fb) = case
+    a, b = XSeries.from_fractions(fa, prec), XSeries.from_fractions(fb, prec)
+    results = {
+        "add": (a + b, [x + y for x, y in zip(fa, fb)]),
+        "sub": (a - b, [x - y for x, y in zip(fa, fb)]),
+        "neg": (-a, [-x for x in fa]),
+        "mul": (a * b, fraction_product(fa, fb)),
+    }
+    for name, (got, want) in results.items():
+        assert_canonical(got)
+        assert got.coefficients() == want, name
+        assert got == XSeries.from_fractions(want, prec), name
+
+
+@PROPERTY
+@given(operands(count=1), st.integers(1, 320))
+@example((300, [draw_coeffs(random.Random(3), 300, "mixed")]), 7)
+def test_resize_both_ways(case, new_prec):
+    prec, (fa,) = case
+    got = XSeries.from_fractions(fa, prec).resize(new_prec)
+    assert_canonical(got)
+    assert got.prec == new_prec
+    assert got.coefficients() == (fa + [Fraction(0)] * new_prec)[:new_prec]
+
+
+@settings(PROPERTY, max_examples=25)
+@given(operands())
+@example((300, [draw_coeffs(random.Random(4), 300, sh) for sh in ("mixed", "sparse")]))
+def test_reciprocal_and_division_against_fraction_oracle(case):
+    prec, (fa, fb) = case
+    fa = [fa[0] or Fraction(-3, 2), *fa[1:]]
+    a, b = XSeries.from_fractions(fa, prec), XSeries.from_fractions(fb, prec)
+    inverse = oracle_reciprocal(fa)
+    got = a.reciprocal()
+    assert_canonical(got)
+    assert got.coefficients() == inverse
+    quotient = b / a
+    assert_canonical(quotient)
+    assert quotient.coefficients() == fraction_product(fb, inverse)
