@@ -156,19 +156,27 @@ def milnor_number(
 ) -> MilnorReport:
     """Milnor number via stabilization of the truncated local algebra.
 
-    The truncation degree doubles from a first value (``expected + 3`` with
-    a hint, else 16) until D stabilizes.  The search needs no cap: for an
-    isolated point of a degree-d germ, D(M) <= mu <= (d-1)^2 by Bezout
-    applied to the two partials, so an exact D(M) above (d-1)^2 proves the
-    point non-isolated and raises NonIsolated.  A modular profile can only
-    overstate D, so it is recomputed exactly before that conclusion.
+    The truncation degree M starts at ord(f) + 1 (``expected + 3`` with a
+    hint), at least 2, and doubles until D stabilizes, but never past
+    top = (d-1)^2 + 1 for a degree-d germ.  D(m) does not depend on the
+    truncation of the matrix it is read from, so the rung only decides how
+    far the search can see.  At top it always reaches a verdict: D is
+    strictly increasing until D(M+1) = D(M) (then m^M lies in the Jacobian
+    ideal by Nakayama), so an isolated point stabilizes at some
+    M <= mu <= (d-1)^2, Bezout applied to the two partials.  A non-isolated
+    point never stabilizes, so D(top) >= top exceeds (d-1)^2, which proves
+    it non-isolated and raises NonIsolated.  A modular profile can only
+    overstate D, so it is recomputed exactly at the same rung before that
+    conclusion.
     """
     if expected is not None:
         require_int(expected, "expected", 0)
     _require_no_constant(f)
     bezout = (f.total_degree - 1) ** 2
+    top = max(bezout + 1, 2)
     fx, fy = f.diff("x"), f.diff("y")
-    m_run = max(expected + 3 if expected is not None else 16, 2)
+    first = expected + 3 if expected is not None else f.order() + 1
+    m_run = min(max(first, 2), top)
     while True:
         dims, arith_used = _dimension_profile(fx, fy, m_run, arithmetic)
         assert all(a <= b for a, b in zip(dims, dims[1:])), "D(M) must be monotone"
@@ -183,7 +191,9 @@ def milnor_number(
                 )
             arithmetic = "exact"
             continue
-        m_run *= 2
+        if m_run == top:
+            raise AssertionError(f"no verdict at the Bezout rung D({top}) = {dims[top]}")
+        m_run = min(2 * m_run, top)
 
 
 # -- resultant-valuation oracle --------------------------------------------

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import _random_changes
 
 import akforge.milnor as milnor_mod
@@ -88,9 +92,28 @@ def test_milnor_number_modular_non_isolated_is_exact(monkeypatch):
         return real(fx, fy, m_top, arithmetic)
 
     monkeypatch.setattr(milnor_mod, "_dimension_profile", spy)
+    f = parse_poly("(y-x^2)^2")
     with pytest.raises(NonIsolated):
-        milnor_number(parse_poly("(y-x^2)^2"), arithmetic="modular")
-    assert calls == [(16, "modular"), (16, "exact")]
+        milnor_number(f, arithmetic="modular")
+    (m, last_modular), (m_exact, last_exact) = calls[-2:]
+    assert (last_modular, last_exact) == ("modular", "exact") and m == m_exact
+    assert all(arith == "modular" for _, arith in calls[:-1])
+    # no rung is built past the Bezout rung (d-1)^2 + 1
+    assert max(m_top for m_top, _ in calls) <= max((f.total_degree - 1) ** 2 + 1, 2)
+
+
+def test_milnor_number_huge_hint_is_capped_at_the_bezout_rung():
+    # expected + 3 would ask for a relation matrix of about 10^12 entries
+    r = milnor_number(parse_poly("y^2 + x^6"), expected=10**6)
+    assert (r.mu, r.stabilized_at) == (5, 5)
+
+
+def test_milnor_number_non_isolated_stops_at_the_bezout_rung():
+    # d = 10: the verdict comes at a rung no higher than (d-1)^2 + 1 = 82
+    with pytest.raises(NonIsolated, match="Bezout") as info:
+        milnor_number(parse_poly("(y - x^5)^2"))
+    rung = int(re.match(r"D\((\d+)\)", str(info.value)).group(1))
+    assert rung <= 82
 
 
 def test_milnor_number_low_hint_only_sets_the_first_degree():
@@ -254,3 +277,58 @@ def test_modular_dense_size_guard(monkeypatch):
     monkeypatch.setattr(milnor_mod, "_DENSE_ENTRY_LIMIT", 10)
     report = milnor_number(parse_poly("y^2 + x^6"), arithmetic="modular")
     assert report.mu == 5 and report.arithmetic == "exact"
+
+
+_INVERTIBLE = [
+    t for t in itertools.product(range(-3, 4), repeat=4) if t[0] * t[3] != t[1] * t[2]
+]
+
+
+@st.composite
+def local_germs(draw):
+    """A_k germs y^2 + x^(k+1) and non-isolated germs p^2 * q of degree <= 6,
+    each after a random invertible linear change; an A_k germ's y may also
+    get a quadratic term."""
+    a, b, c, d = draw(st.sampled_from(_INVERTIBLE))
+    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
+    px = xv.scale(a) + yv.scale(b)
+    py = xv.scale(c) + yv.scale(d)
+    if draw(st.booleans()):
+        e = draw(st.integers(1, 2))
+        q = draw(st.sampled_from(["1", "1 + x", "x", "y - x"]))
+        base = parse_poly(f"(y - x^{e})^2 * ({q})")
+    else:
+        k = draw(st.integers(1, 5))
+        base = parse_poly(f"y^2 + x^{k + 1}")
+        if draw(st.booleans()):
+            py = py + SparsePoly({draw(st.sampled_from([(2, 0), (1, 1), (0, 2)])): 1})
+    return base.compose(px, py)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(local_germs(), st.sampled_from(["exact", "modular"]), st.data())
+def test_dimension_profile_does_not_depend_on_the_truncation(f, arithmetic, data):
+    # D(m) read from a profile truncated at m_top is the same for every
+    # m_top >= m; milnor_number's short first rungs rely on it
+    fx, fy = f.diff("x"), f.diff("y")
+    m1 = data.draw(st.integers(1, 12))
+    m2 = data.draw(st.integers(m1 + 1, 16))
+    dims1, _ = milnor_mod._dimension_profile(fx, fy, m1, arithmetic)
+    dims2, _ = milnor_mod._dimension_profile(fx, fy, m2, arithmetic)
+    assert dims1 == dims2[: m1 + 1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(local_germs(), st.sampled_from(["exact", "modular"]))
+def test_milnor_number_matches_one_profile_at_the_bezout_rung(f, arithmetic):
+    top = max((f.total_degree - 1) ** 2 + 1, 2)
+    dims, arith = milnor_mod._dimension_profile(f.diff("x"), f.diff("y"), top, arithmetic)
+    stable = [m for m in range(1, top) if dims[m + 1] == dims[m]]
+    if not stable:
+        with pytest.raises(NonIsolated):
+            milnor_number(f, arithmetic=arithmetic)
+        return
+    m = stable[0]
+    assert milnor_number(f, arithmetic=arithmetic) == MilnorReport(
+        dims[m], "truncated-local-algebra", m, arith
+    )
