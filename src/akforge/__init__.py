@@ -3,9 +3,13 @@
 The package builds a family of plane curves of degree 28s+9 whose single
 singular point is of type A_k with k = 420s^2 + 269s + 42, certifies the
 type with exact arithmetic (weighted series inversion plus a Newton-segment
-check), cross-checks k with two independent Milnor-number oracles, and
-compares the construction against the general degree bound
-k <= (d-1)^2 - floor(d/2)(floor(d/2) - 1).
+check), cross-checks k with three independent Milnor-number oracles (the
+truncated local algebra, the resultant valuation and Fulton's
+intersection-multiplicity algorithm), and compares the construction against
+the general degree bound k <= (d-1)^2 - floor(d/2)(floor(d/2) - 1).
+
+Importing the package does not load numpy: only the modular paths use it,
+and they import it when they first run.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from akforge.classify import (
 )
 from akforge.errors import (
     AkforgeError,
+    BudgetExceeded,
     CertificationFailed,
     GenericityFailure,
     IdentityViolation,
@@ -48,7 +53,13 @@ from akforge.family import (
     family_params,
     verify_eq2,
 )
-from akforge.milnor import MilnorReport, milnor_number, milnor_resultant, milnor_truncated
+from akforge.milnor import (
+    MilnorReport,
+    milnor_fulton,
+    milnor_number,
+    milnor_resultant,
+    milnor_truncated,
+)
 from akforge.poly import Monomial, SparsePoly, parse_poly
 from akforge.series import TruncatedSeries, Weights, compose_curve, invert_change
 
@@ -58,6 +69,7 @@ __all__ = [
     "AkCertificate",
     "AkResult",
     "AkforgeError",
+    "BudgetExceeded",
     "CertificationFailed",
     "CurveInstance",
     "FamilyCertificate",
@@ -86,6 +98,7 @@ __all__ = [
     "family_params",
     "hessian_corank",
     "invert_change",
+    "milnor_fulton",
     "milnor_number",
     "milnor_resultant",
     "milnor_truncated",

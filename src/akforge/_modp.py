@@ -11,16 +11,20 @@ Every kernel is plain numpy over int64 residues: dense row elimination
 points (eval_x_batch), the univariate Euclidean resultant at every point at
 once (resultant_batch: one numpy remainder step per group of points that
 share a degree sequence) and Newton interpolation (interpolate_monomial).
+numpy is imported inside each kernel, so importing this module, and with it
+the package, does not load numpy.
 """
 
 from __future__ import annotations
 
 import os
 import random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInput
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_PRIME_SEED = 1729
 
@@ -83,6 +87,8 @@ def primes_from_seed(count: int = 2, seed: int | None = None) -> tuple[int, ...]
 
 def rank_profile_mod_p(mat: np.ndarray, p: int) -> list[int]:
     """Pivot columns of an integer matrix over GF(p); the input is copied."""
+    import numpy as np
+
     a = np.ascontiguousarray(np.asarray(mat, dtype=np.int64) % p)
     if a.size == 0:
         return []
@@ -120,6 +126,8 @@ def rank_profile_mod_p(mat: np.ndarray, p: int) -> list[int]:
 
 def eval_x_batch(c_mat: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
     """Horner-evaluate every y-layer at every sample point, mod p."""
+    import numpy as np
+
     c = np.asarray(c_mat, dtype=np.int64) % p
     t = np.asarray(points, dtype=np.int64) % p
     nb, nx = c.shape
@@ -131,6 +139,8 @@ def eval_x_batch(c_mat: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
 
 def _powmod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     """Elementwise base^e mod p for residues and a scalar exponent e >= 0."""
+    import numpy as np
+
     out = np.ones_like(base)
     while e:
         if e & 1:
@@ -142,6 +152,8 @@ def _powmod(base: np.ndarray, e: int, p: int) -> np.ndarray:
 
 def _degrees(c: np.ndarray) -> np.ndarray:
     """Per column, the index of the last nonzero row; -1 for a zero column."""
+    import numpy as np
+
     nz = c != 0
     last = c.shape[0] - 1 - np.argmax(nz[::-1], axis=0)
     return np.where(nz.any(axis=0), last, -1)
@@ -166,6 +178,8 @@ def resultant_batch(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
     continues in a group of its own.  Every product of two residues, and a
     residue minus such a product, stays inside int64 because p < isqrt(2^63).
     """
+    import numpy as np
+
     fv = np.asarray(fv, dtype=np.int64)
     gv = np.asarray(gv, dtype=np.int64)
     out = np.zeros(fv.shape[1], dtype=np.int64)
@@ -205,6 +219,8 @@ def interpolate_monomial(points: np.ndarray, values: np.ndarray, p: int) -> np.n
     sample points must be distinct small non-negative integers; difference
     inverses are served from one batch table.
     """
+    import numpy as np
+
     x = np.asarray(points, dtype=np.int64)
     coef = (np.asarray(values, dtype=np.int64) % p).copy()
     n = x.size

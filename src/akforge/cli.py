@@ -27,6 +27,7 @@ from akforge.bounds import (
 from akforge.classify import split_and_classify
 from akforge.errors import (
     AkforgeError,
+    BudgetExceeded,
     CertificationFailed,
     GenericityFailure,
     InvalidInput,
@@ -35,7 +36,7 @@ from akforge.errors import (
     PolySyntaxError,
 )
 from akforge.family import certify_member
-from akforge.milnor import milnor_number
+from akforge.milnor import milnor_fulton, milnor_number
 from akforge.poly import SparsePoly, parse_poly
 
 __all__ = ["main", "build_parser"]
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument(
         "--milnor",
         action="store_true",
-        help="also run an independent Milnor-number oracle",
+        help="also cross-check k with Fulton's Milnor-number oracle",
     )
     p_construct.add_argument("--out", metavar="FILE", default=None)
 
@@ -79,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_milnor.add_argument(
         "--modular",
         action="store_true",
-        help="use the two-prime modular rank path",
+        help=(
+            "use the local-algebra oracle's two-prime modular rank path "
+            "instead of Fulton's algorithm"
+        ),
     )
 
     p_bound = sub.add_parser("bound", help="degree bound for A_k points")
@@ -131,10 +135,15 @@ def _run_certify(args) -> int:
 
 
 def _run_milnor(args) -> int:
-    report = milnor_number(
-        _load_poly(args.poly),
-        arithmetic="modular" if args.modular else "exact",
-    )
+    f = _load_poly(args.poly)
+    if args.modular:
+        report = milnor_number(f, arithmetic="modular")
+    else:
+        # Fulton's algorithm first; past its term budget, the exact local algebra.
+        try:
+            report = milnor_fulton(f)
+        except BudgetExceeded:
+            report = milnor_number(f, arithmetic="exact")
     sys.stdout.write(
         _dump(
             {

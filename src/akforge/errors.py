@@ -63,6 +63,10 @@ class GenericityFailure(AkforgeError):
     """All sheared resultant attempts failed the genericity checks."""
 
 
+class BudgetExceeded(AkforgeError):
+    """An exact computation outgrew its fixed size budget; no verdict was reached."""
+
+
 def require_int(value, what: str, least: int) -> None:
     """Raise InvalidInput unless ``value`` is an int no smaller than ``least``.
 

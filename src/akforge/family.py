@@ -13,7 +13,8 @@ effective and `certify_member` replays it with exact arithmetic:
 2. the change z = y - A is inverted as a weighted series y(x, z);
 3. substituting back yields z^2 + 56*x^(k+1) + (terms strictly above the
    Newton segment), which the certifier checks term by term;
-4. optionally an independent Milnor-number oracle re-derives k.
+4. optionally an independent Milnor-number oracle, Fulton's algorithm for
+   I_0(F_x, F_y), re-derives k.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from akforge.bounds import upper_bound
 from akforge.classify import AkCertificate, newton_ak_certify
 from akforge.errors import CertificationFailed, IdentityViolation, require_int
-from akforge.milnor import MilnorReport, milnor_number, milnor_resultant
+from akforge.milnor import MilnorReport, milnor_fulton
 from akforge.poly import SparsePoly, format_rational
 from akforge.series import TruncatedSeries, Weights, compose_curve, invert_change
 
@@ -36,13 +37,7 @@ __all__ = [
     "build_F",
     "verify_eq2",
     "certify_member",
-    "EXACT_MILNOR_LIMIT",
 ]
-
-# Above this k the exact local-algebra oracle is infeasible (the relation
-# matrix has ~(2k)^2/2 columns); the cross-check switches to the modular
-# resultant valuation.
-EXACT_MILNOR_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -207,12 +202,7 @@ def certify_member(s: int, *, with_milnor: bool = False) -> FamilyCertificate:
     window = compose_curve(inst.F, y_series)
     newton = newton_ak_certify(window, p.k)
 
-    milnor: MilnorReport | None = None
-    if with_milnor:
-        if p.k <= EXACT_MILNOR_LIMIT:
-            milnor = milnor_number(inst.F, expected=p.k)
-        else:
-            milnor = milnor_resultant(inst.F, arithmetic="modular")
+    milnor = milnor_fulton(inst.F) if with_milnor else None
 
     bound = upper_bound(p.d)
     cert = FamilyCertificate(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -355,54 +356,51 @@ _POLY_Y = SparsePoly({(0, 1): 1})
 #
 # Rational literals are contiguous, e.g. 3 or 22/7.  Implicit multiplication
 # is rejected: "2x" is a syntax error.
+#
+# A value is a monomial (c, ex, ey), c an int or a Fraction, until a
+# parenthesized expression makes it a SparsePoly, so a product such as
+# 3*x^2*y is built directly.  An expression adds its terms into one
+# coefficient dict and becomes a SparsePoly once, at its end.
 
 _NUM, _VAR, _OP, _LPAR, _RPAR, _END = range(6)
 
 
+# One token after optional whitespace; the groups are a number with an
+# optional denominator, a variable, an operator, '(', ')' and any other
+# character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([xy])|([-+*^])|(\()|(\))|(\S))")
+_KINDS = {3: _VAR, 4: _OP, 5: _LPAR, 6: _RPAR}
+
+
 def _tokenize(text: str) -> list[tuple[int, object, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            num = int(text[start:i])
-            if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
-                i += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                den = int(text[dstart:i])
-                if den == 0:
-                    raise PolySyntaxError("zero denominator in rational literal", dstart)
-                tokens.append((_NUM, Fraction(num, den), start))
-            else:
-                tokens.append((_NUM, Fraction(num), start))
-            continue
-        if ch in "xy":
-            tokens.append((_VAR, ch, i))
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((_OP, ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append((_LPAR, ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append((_RPAR, ch, i))
-            i += 1
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append((_END, None, n))
+    match, pos = _TOKEN.match, 0
+    while (m := match(text, pos)) is not None:
+        pos = m.end()
+        group = m.lastindex
+        if group == 1:
+            tokens.append((_NUM, int(m[1]), m.start(1)))
+        elif group == 2:
+            den = int(m[2])
+            if den == 0:
+                raise PolySyntaxError("zero denominator in rational literal", m.start(2))
+            tokens.append((_NUM, Fraction(int(m[1]), den), m.start(1)))
+        elif group == 7:
+            raise PolySyntaxError(f"unexpected character {m[7]!r}", m.start(7))
+        else:
+            tokens.append((_KINDS[group], m[group], m.start(group)))
+    tokens.append((_END, None, len(text)))
     return tokens
+
+
+_Value = Union[tuple, SparsePoly]
+
+
+def _as_poly(v: _Value) -> SparsePoly:
+    if isinstance(v, SparsePoly):
+        return v
+    c, ex, ey = v
+    return SparsePoly._wrap({Monomial(ex, ey): Fraction(c)} if c else {})
 
 
 class _Parser:
@@ -430,27 +428,41 @@ class _Parser:
         return node
 
     def expr(self) -> SparsePoly:
-        node = self.term()
+        acc: dict[tuple[int, int], Scalar] = {}
+        sign = 1
         while True:
+            node = self.term()
+            if isinstance(node, SparsePoly):
+                items = node._terms.items()
+            else:
+                c, ex, ey = node
+                items = (((ex, ey), c),)
+            for m, c in items:
+                acc[m] = acc.get(m, 0) + sign * c
             kind, val, _ = self.peek()
             if kind == _OP and val in "+-":
                 self.advance()
-                rhs = self.term()
-                node = node + rhs if val == "+" else node - rhs
+                sign = 1 if val == "+" else -1
             else:
-                return node
+                return SparsePoly._wrap(
+                    {Monomial(*m): Fraction(c) for m, c in acc.items() if c}
+                )
 
-    def term(self) -> SparsePoly:
+    def term(self) -> _Value:
         node = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == _OP and val == "*":
                 self.advance()
-                node = node * self.factor()
+                rhs = self.factor()
+                if isinstance(node, tuple) and isinstance(rhs, tuple):
+                    node = (node[0] * rhs[0], node[1] + rhs[1], node[2] + rhs[2])
+                else:
+                    node = _as_poly(node) * _as_poly(rhs)
             else:
                 return node
 
-    def factor(self) -> SparsePoly:
+    def factor(self) -> _Value:
         sign = 1
         while True:
             kind, val, _ = self.peek()
@@ -461,9 +473,11 @@ class _Parser:
             else:
                 break
         node = self.power()
-        return node if sign > 0 else -node
+        if sign > 0:
+            return node
+        return -node if isinstance(node, SparsePoly) else (-node[0], node[1], node[2])
 
-    def power(self) -> SparsePoly:
+    def power(self) -> _Value:
         node = self.atom()
         kind, val, _ = self.peek()
         if kind == _OP and val == "^":
@@ -476,17 +490,21 @@ class _Parser:
             if val.denominator != 1:
                 self.fail("exponent must be an integer")
             self.advance()
-            node = node ** int(val)
+            e = int(val)
+            if isinstance(node, SparsePoly):
+                return node**e
+            c, ex, ey = node
+            return (c**e, ex * e, ey * e)
         return node
 
-    def atom(self) -> SparsePoly:
+    def atom(self) -> _Value:
         kind, val, _ = self.peek()
         if kind == _NUM:
             self.advance()
-            return SparsePoly.constant(val)
+            return (val, 0, 0)
         if kind == _VAR:
             self.advance()
-            return SparsePoly.variable(val)
+            return (1, 1, 0) if val == "x" else (1, 0, 1)
         if kind == _LPAR:
             self.advance()
             node = self.expr()

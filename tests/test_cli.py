@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import akforge
 from akforge.cli import main
+from akforge.family import build_F
 from akforge.poly import parse_poly
 
 
@@ -106,10 +113,32 @@ def test_milnor_exact_and_modular(capsys):
 
 
 def test_milnor_non_isolated_exit_1(capsys):
-    for modular in ([], ["--modular"]):
+    # Fulton's reduction turns one partial into 0; the modular local algebra
+    # passes the Bezout bound
+    for modular, proof in (([], "reduce to 0"), (["--modular"], "Bezout")):
         code, out, err = run(capsys, "milnor", *modular, "--poly", "(y-x^2)^2")
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "Bezout" in err
+        assert err.startswith("error:") and proof in err and "not isolated" in err
+
+
+def test_milnor_runs_fulton_first(capsys):
+    code, out, _ = run(capsys, "milnor", "--poly", build_F(1).F.to_text())
+    payload = json.loads(out)
+    assert code == 0
+    assert payload == {"mu": 731, "method": "fulton", "stabilized_at": 731, "arithmetic": "exact"}
+    # the local algebra needs D(226) for this germ; Fulton reduces f_x to 0
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "milnor", "--poly", "(y-x^8)^2")
+    assert (code, out) == (1, "") and "not isolated" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_milnor_falls_back_past_the_fulton_budget(capsys):
+    # Fulton's polynomials outgrow the term budget on this dense A_8 germ
+    code, out, _ = run(capsys, "milnor", "--poly", "(2*y + x^2)^2 + (x + 2*y + x*y^2)^9")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["mu"], payload["method"]) == (8, "truncated-local-algebra")
 
 
 def test_construct_s0(capsys):
@@ -169,3 +198,42 @@ def test_repeat_runs_identical(capsys):
     first = run(capsys, "family-table", "--max-s", "3", "--csv")
     second = run(capsys, "family-table", "--max-s", "3", "--csv")
     assert first == second
+
+
+# -- cold start: numpy is loaded only by the modular paths -------------------
+
+_SRC = str(Path(akforge.__file__).resolve().parents[1])
+
+
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120
+    )
+
+
+def test_import_does_not_load_numpy():
+    proc = _python("import sys, akforge.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == b"False\n", proc.stderr
+
+
+# With sys.modules["numpy"] set to None, any import of numpy raises ImportError.
+_CLI_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None\n"
+    "from akforge.cli import main\n"
+    "raise SystemExit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["construct", "--s", "0"], "family", {"s": 0, "l": 1, "m": 2, "d": 9, "k": 42}),
+        (["certify", "--poly", "y^2 + x^3"], "k", 2),
+        (["milnor", "--poly", build_F(0).F.to_text()], "mu", 42),
+    ],
+)
+def test_cli_paths_never_load_numpy(argv, key, value):
+    proc = _python(_CLI_WITHOUT_NUMPY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[key] == value

@@ -17,6 +17,7 @@ from akforge.family import (
     family_params,
     verify_eq2,
 )
+from akforge.milnor import MilnorReport
 from akforge.poly import SparsePoly, parse_poly
 from akforge.series import Weights, invert_change
 
@@ -111,9 +112,7 @@ def test_certify_member_s0():
 def test_certify_member_s0_with_milnor():
     cert = certify_member(0, with_milnor=True)
     assert cert.milnor is not None
-    assert cert.milnor.mu == 42
-    assert cert.milnor.method == "truncated-local-algebra"
-    assert cert.milnor.stabilized_at == 42
+    assert cert.milnor == MilnorReport(42, "fulton", 42, "exact")
 
 
 def test_certify_member_s1():

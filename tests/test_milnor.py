@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -15,18 +16,21 @@ from test_acceptance import _random_changes
 import akforge.milnor as milnor_mod
 from akforge._modp import primes_from_seed
 from akforge.errors import (
+    BudgetExceeded,
     GenericityFailure,
     InvalidInput,
     NonIsolated,
     PreconditionViolated,
 )
 from akforge.milnor import (
+    FULTON_TERM_BUDGET,
     MilnorReport,
+    milnor_fulton,
     milnor_number,
     milnor_resultant,
     milnor_truncated,
 )
-from akforge.family import build_F
+from akforge.family import build_F, family_params
 from akforge.poly import SparsePoly, parse_poly
 
 
@@ -143,12 +147,15 @@ def test_member_s1_modular_resultant():
     assert r.mu == 731
     assert r.method == "resultant"
     assert r.arithmetic.startswith("two-prime-modular(")
+    assert milnor_fulton(F1) == MilnorReport(731, "fulton", 731, "exact")
 
 
 def test_member_s2_modular_resultant():
-    r = milnor_resultant(build_F(2).F, arithmetic="modular")
+    F2 = build_F(2).F
+    r = milnor_resultant(F2, arithmetic="modular")
     assert r.mu == 2260
     assert r.arithmetic.startswith("two-prime-modular(")
+    assert milnor_fulton(F2).mu == 2260
 
 
 def test_resultant_degree_within_total_degree_bound():
@@ -332,3 +339,97 @@ def test_milnor_number_matches_one_profile_at_the_bezout_rung(f, arithmetic):
     assert milnor_number(f, arithmetic=arithmetic) == MilnorReport(
         dims[m], "truncated-local-algebra", m, arith
     )
+
+
+# -- Fulton's algorithm --------------------------------------------------------
+
+
+def test_fulton_agrees_with_both_oracles_at_F0_and_on_criterion_6_germs():
+    F = member_s0()
+    assert milnor_fulton(F) == MilnorReport(42, "fulton", 42, "exact")
+    assert milnor_number(F).mu == milnor_resultant(F).mu == 42
+    checked = 0
+    for k, f in _random_changes(random.Random(6336), 110, 15):
+        if k > 8:
+            continue
+        try:
+            mu = milnor_fulton(f).mu
+        except BudgetExceeded:
+            continue
+        assert mu == milnor_number(f).mu == milnor_resultant(f).mu == k, (k, f)
+        checked += 1
+    assert checked >= 40
+
+
+def test_fulton_cross_checks_F200():
+    # 7,032 reduction steps on polynomials of at most 46 terms
+    assert milnor_fulton(build_F(200).F).mu == family_params(200).k == 16853842
+
+
+@pytest.mark.parametrize(
+    "text", ["(y-x^2)^2", "(y-x^8)^2", "(y-x^20)^2", "(y*(1-x)-x^2)^2", "y^2", "x^2*y^2"]
+)
+def test_fulton_proves_non_isolated_quickly(text):
+    # the local algebra needs D(226) for (y-x^8)^2 and D(1522) for (y-x^20)^2
+    t0 = time.perf_counter()
+    with pytest.raises(NonIsolated, match="not isolated"):
+        milnor_fulton(parse_poly(text))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_fulton_unit_before_zero():
+    # f_x = 1 is a unit although f_y = 0 (or 2y) vanishes at the origin
+    for text in ("x", "x + y^2", "y + x^3"):
+        assert milnor_fulton(parse_poly(text)) == MilnorReport(0, "fulton", 0, "exact")
+    with pytest.raises(PreconditionViolated):
+        milnor_fulton(parse_poly("1 + x^2"))
+
+
+def test_fulton_small_cases_and_rational_coefficients():
+    for a, b in ((2, 2), (2, 5), (3, 4), (4, 4), (3, 3)):
+        assert milnor_fulton(parse_poly(f"x^{a} + y^{b}")).mu == (a - 1) * (b - 1)
+    assert milnor_fulton(parse_poly("1/2*x^2 + 1/5*y^3")).mu == 2
+    assert milnor_fulton(parse_poly("x^3 + y^3 + 7/3*x*y")).mu == 1
+
+
+# A_8 after the change x -> x + 2y + xy^2, y -> 2y + x^2: dense enough that
+# Fulton's polynomials pass the term budget within a few milliseconds.
+DENSE_A8 = "(2*y + x^2)^2 + (x + 2*y + x*y^2)^9"
+
+
+def test_fulton_budget_on_a_dense_germ():
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=str(FULTON_TERM_BUDGET)):
+        milnor_fulton(parse_poly(DENSE_A8))
+    assert time.perf_counter() - t0 < 1.0
+    assert milnor_number(parse_poly(DENSE_A8)).mu == 8
+
+
+@st.composite
+def changed_ak_germs(draw):
+    """y^2 + x^(k+1), k <= 6, after an invertible linear change whose x or y
+    may also get one quadratic term."""
+    a, b, c, d = draw(st.sampled_from(_INVERTIBLE))
+    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
+    px = xv.scale(a) + yv.scale(b)
+    py = xv.scale(c) + yv.scale(d)
+    monomial = draw(st.sampled_from([(2, 0), (1, 1), (0, 2)]))
+    tail = SparsePoly({monomial: draw(st.sampled_from([-1, 1, 2]))})
+    which = draw(st.sampled_from(["none", "x", "y"]))
+    px = px + tail if which == "x" else px
+    py = py + tail if which == "y" else py
+    k = draw(st.integers(1, 6))
+    return k, parse_poly(f"y^2 + x^{k + 1}").compose(px, py)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(changed_ak_germs())
+def test_fulton_matches_local_algebra_on_changed_ak_germs(germ):
+    # a dense draw may outgrow the term budget; that error is the only other
+    # outcome, and it bounds the time of every draw
+    k, f = germ
+    try:
+        report = milnor_fulton(f)
+    except BudgetExceeded:
+        return
+    assert report.mu == milnor_number(f).mu == k

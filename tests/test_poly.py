@@ -266,6 +266,49 @@ def test_parse_zero_denominator():
         parse_poly("1/0")
 
 
+@pytest.mark.parametrize(
+    "text, error, position",
+    [
+        ("3*x^-2", NegativeExponent, 4),
+        ("2*y^x", PolySyntaxError, 4),
+        ("x^1/2 + 1", PolySyntaxError, 2),
+        ("1/0*x", PolySyntaxError, 2),
+        ("(x*y^2", PolySyntaxError, 6),
+        ("x*y)", PolySyntaxError, 3),
+        ("x ** 2", PolySyntaxError, 3),
+        ("3/ 4", PolySyntaxError, 1),
+        ("2*x*y + 7 $", PolySyntaxError, 10),
+        # a superscript digit is no decimal digit: a syntax error, not a crash
+        ("x^\u00b2", PolySyntaxError, 2),
+    ],
+)
+def test_parse_error_kinds_and_positions(text, error, position):
+    with pytest.raises(error) as exc:
+        parse_poly(text)
+    assert type(exc.value) is error and exc.value.position == position
+
+
+def test_parse_sums_of_monomial_products_randomized():
+    # each term c*x^a*y^b is built directly and the sum in one dict; the
+    # result must equal SparsePoly arithmetic and stay canonical
+    rng = random.Random(2718)
+    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
+    for _ in range(200):
+        text, want = "", SparsePoly.zero()
+        for _ in range(rng.randrange(1, 12)):
+            c = Fraction(rng.randrange(0, 9), rng.choice((1, 1, 2, 3)))
+            a, b = rng.randrange(4), rng.randrange(4)
+            sign = rng.choice("+-")
+            factors = [format_rational(c), f"x^{a}", f"y^{b}"]
+            rng.shuffle(factors)
+            text += f" {sign} " + "*".join(factors)
+            term = (xv**a * yv**b).scale(c)
+            want = want + term if sign == "+" else want - term
+        got = parse_poly(text)
+        assert got == want, text
+        assert all(type(m) is Monomial and type(c) is Fraction and c for m, c in got.terms())
+
+
 # -- JSON ------------------------------------------------------------------
 
 
