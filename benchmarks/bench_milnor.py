@@ -3,17 +3,17 @@
     PYTHONPATH=src python3 benchmarks/bench_milnor.py --label after
     PYTHONPATH=<other checkout>/src python3 benchmarks/bench_milnor.py --label before
 
-Times ``milnor_number`` on the 40 A_k germs (k = 1..8) of the
-oracle-crosscheck benchmark workload at seed 101, once per arithmetic, on
-F(0) with the hint 42 and with no hint, and on the non-isolated germs
+Times ``milnor_number`` on the 40 A_k germs (k = 1..8) that the
+oracle-crosscheck benchmark workload at seed 101 runs in exact arithmetic,
+on F(0) with the hint 42 and with no hint, and on the non-isolated germs
 (y - x^2)^2 and (y - x^5)^2.  Every truncation degree the search builds a
-relation matrix for (a rung) is recorded by wrapping ``_dimension_profile``
-in ``akforge.milnor``, so the script runs unchanged against any checkout
-that has it; a rung written ``m(exact)`` is the exact recomputation of a
-modular profile.  The germs come from ``perfbench/workloads.py`` of the
-checkout the script sits in.  Each case runs up to three times, stopping
-once 10 s have been spent on it; the median run is reported.  The record,
-with the environment, is stored under ``runs[<label>]`` of
+relation matrix for (a rung) is recorded by wrapping
+``_dimension_profile(fx, fy, m_top)`` in ``akforge.milnor``, so the script
+runs against any checkout whose ``_dimension_profile`` has that signature.
+The germs come from ``perfbench/workloads.py`` of the checkout the script
+sits in.  Each case runs up to three times, stopping once 10 s have been
+spent on it; the median run is reported.  The record, with the
+environment, is stored under ``runs[<label>]`` of
 ``benchmarks/BENCH_milnor.json``; records under other labels are kept, so
 one file holds the numbers of two checkouts.
 """
@@ -63,21 +63,21 @@ def environment() -> dict:
 
 
 def timed_calls(calls: list[tuple]) -> dict:
-    """Run ``milnor_number`` on each (poly, hint, arithmetic); time the lot."""
+    """Run ``milnor_number`` on each (poly, hint); time the lot."""
     original = milnor._dimension_profile
     reports, rungs = [], []
 
-    def spy(fx, fy, m_top, arithmetic):
-        rungs[-1].append(str(m_top) if arithmetic == asked else f"{m_top}({arithmetic})")
-        return original(fx, fy, m_top, arithmetic)
+    def spy(fx, fy, m_top):
+        rungs[-1].append(str(m_top))
+        return original(fx, fy, m_top)
 
     milnor._dimension_profile = spy
     try:
         t0 = time.perf_counter()
-        for f, hint, asked in calls:
+        for f, hint in calls:
             rungs.append([])
             try:
-                reports.append(repr(milnor.milnor_number(f, expected=hint, arithmetic=asked)))
+                reports.append(repr(milnor.milnor_number(f, expected=hint)))
             except NonIsolated as exc:
                 reports.append(f"NonIsolated: {exc}")
         total = time.perf_counter() - t0
@@ -108,17 +108,16 @@ def cases() -> dict[str, list[tuple]]:
         inp for inp in make_inputs("oracle-crosscheck", SEED)
         if inp["op"] == "milnor" and "poly" in inp
     ]
-    out = {}
-    for arithmetic in ("exact", "modular"):
-        out[f"germs seed {SEED} {arithmetic}"] = [
-            (parse_poly(inp["poly"]), None, arithmetic)
-            for inp in germs if inp["arithmetic"] == arithmetic
+    out = {
+        f"germs seed {SEED} exact": [
+            (parse_poly(inp["poly"]), None) for inp in germs if inp["arithmetic"] == "exact"
         ]
+    }
     F0 = parse_poly(family_text(0))
-    out["F(0) hint 42"] = [(F0, 42, "exact")]
-    out["F(0) no hint"] = [(F0, None, "exact")]
+    out["F(0) hint 42"] = [(F0, 42)]
+    out["F(0) no hint"] = [(F0, None)]
     for text in ("(y - x^2)^2", "(y - x^5)^2"):
-        out[text] = [(parse_poly(text), None, "exact")]
+        out[text] = [(parse_poly(text), None)]
     return out
 
 
@@ -126,7 +125,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this record in the JSON")
     args = ap.parse_args()
-    milnor.milnor_number(parse_poly("y^2 + x^3"), arithmetic="modular")  # warm-up
+    milnor.milnor_number(parse_poly("y^2 + x^3"))  # warm-up
     results = {}
     for name, calls in cases().items():
         results[name] = measure(calls)

@@ -1,4 +1,4 @@
-"""Modular arithmetic kernels: seeded primes, mod-p rank profiles, resultants.
+"""Modular arithmetic kernels: seeded primes, batched resultants, interpolation.
 
 Primes are drawn deterministically from a PRNG seed in the half-open range
 (2^31, isqrt(2^63)], so any product of two residues fits in a signed 64-bit
@@ -6,13 +6,15 @@ integer.  The seed comes from the AKFORGE_PRIME_SEED environment variable
 when set, else from DEFAULT_PRIME_SEED, which makes every modular result
 reproducible byte for byte.
 
-Every kernel is plain numpy over int64 residues: dense row elimination
-(rank_profile_mod_p), Horner evaluation of the x-variable at many sample
+Every kernel is plain numpy over int64 residues.  The resultant oracle's
+modular path uses three: Horner evaluation of the x-variable at many sample
 points (eval_x_batch), the univariate Euclidean resultant at every point at
 once (resultant_batch: one numpy remainder step per group of points that
 share a degree sequence) and Newton interpolation (interpolate_monomial).
-numpy is imported inside each kernel, so importing this module, and with it
-the package, does not load numpy.
+The dense row elimination rank_profile_mod_p has no caller in the package;
+perfbench still traces it under that name.  numpy is imported inside each
+kernel, so importing this module, and with it the package, does not load
+numpy.
 """
 
 from __future__ import annotations

