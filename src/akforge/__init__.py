@@ -58,7 +58,6 @@ from akforge.milnor import (
     milnor_fulton,
     milnor_number,
     milnor_resultant,
-    milnor_truncated,
 )
 from akforge.poly import Monomial, SparsePoly, parse_poly
 from akforge.series import TruncatedSeries, Weights, compose_curve, invert_change
@@ -101,7 +100,6 @@ __all__ = [
     "milnor_fulton",
     "milnor_number",
     "milnor_resultant",
-    "milnor_truncated",
     "newton_ak_certify",
     "parse_poly",
     "ratio_table",

@@ -24,7 +24,10 @@ class NegativeExponent(PolySyntaxError):
 
 
 class MismatchedContract(AkforgeError):
-    """Truncated series with different weights/cutoff were combined."""
+    """A series window's weights or cutoff do not fit the certificate asked for.
+
+    Raised only by classify.newton_ak_certify.
+    """
 
 
 class PreconditionViolated(AkforgeError):

@@ -28,7 +28,6 @@ this module does not load it.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +59,8 @@ FULTON_METHOD = "fulton"
 # Sylvester-determinant path is replaced by the two-prime modular one.
 _EXACT_RESULTANT_LIMIT = 300
 
-_SHEAR_ATTEMPTS = 8
+# The shears t of (x, y) -> (x + t*y, y) that milnor_resultant tries, in order.
+_SHEARS = (0, 50, 98, 54, 6, 34, 66, 63)
 
 # Most terms either polynomial of Fulton's reduction may reach.  On F(s) the
 # reduction peaks at 46 terms; on dense random germs it can pass 10,000 and
@@ -122,13 +122,6 @@ def _dimension_profile(fx: SparsePoly, fy: SparsePoly, m_top: int) -> list[int]:
 def _require_no_constant(f: SparsePoly) -> None:
     if f.coefficient(0, 0) != 0:
         raise PreconditionViolated("the germ must vanish at the origin")
-
-
-def milnor_truncated(f: SparsePoly, M: int) -> int:
-    """D(M): local-algebra dimension truncated below total degree M."""
-    require_int(M, "truncation degree", 1)
-    _require_no_constant(f)
-    return _dimension_profile(f.diff("x"), f.diff("y"), M)[M]
 
 
 def milnor_number(
@@ -348,25 +341,18 @@ def _modular_valuation(P, Q, count: int, p: int) -> int | None:
     return int(nz[0]) if nz.size else None
 
 
-def _shear_values(seed: int) -> list[int]:
-    rng = random.Random(seed)
-    out = [0]
-    while len(out) < _SHEAR_ATTEMPTS:
-        v = rng.randrange(1, 100)
-        if v not in out:
-            out.append(v)
-    return out
-
-
-def milnor_resultant(
-    f: SparsePoly, shear_seed: int = 0, *, arithmetic: str = "auto"
-) -> MilnorReport:
+def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport:
     """Milnor number as the x-valuation of Res_y of the two partials.
 
-    Tries the identity shear first, then up to seven seeded shears
-    (x, y) -> (x + t*y, y) until the genericity conditions hold: other
-    critical points stay off the line x = 0 and neither partial drops
-    y-degree there.
+    Tries the shears (x, y) -> (x + t*y, y) for t in _SHEARS, the identity
+    first, until the genericity conditions hold: other critical points stay
+    off the line x = 0 and neither partial drops y-degree there.  Past the
+    last shear it raises GenericityFailure, with no answer rather than a
+    wrong one.  That happens on some non-isolated germs such as (y - x^2)^2,
+    and on isolated germs whose partials share a factor away from the
+    origin: on (2 + y)^3*(y^2 - x^4), mu = 3, every shear keeps the common
+    factor 2 + y, which meets x = 0 at y = -2.  Fulton's algorithm and the
+    local algebra answer there.
 
     The resultant is interpolated through deg_x Res + 1 sample points, with
 
@@ -385,6 +371,7 @@ def milnor_resultant(
     """
     if arithmetic not in ("auto", "exact", "modular"):
         raise InvalidInput(f"unknown arithmetic {arithmetic!r}")
+    _require_no_constant(f)
     fx, fy = f.diff("x"), f.diff("y")
     if fx.is_zero and fy.is_zero:
         raise NonIsolated("the gradient vanishes identically")
@@ -400,7 +387,7 @@ def milnor_resultant(
             raise NonIsolated(f"the {var} = 0 axis lies in the critical locus")
 
     xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
-    for t in _shear_values(shear_seed):
+    for t in _SHEARS:
         if t == 0:
             P, Q = _scale_integer(fx), _scale_integer(fy)
         else:
@@ -435,9 +422,7 @@ def milnor_resultant(
         if val is None:
             raise NonIsolated("the partials share a factor: resultant is identically zero")
         return MilnorReport(val, RESULTANT_METHOD, val, arith_used)
-    raise GenericityFailure(
-        f"no admissible shear found in {_SHEAR_ATTEMPTS} attempts"
-    )
+    raise GenericityFailure(f"no admissible shear found in {len(_SHEARS)} attempts")
 
 
 # -- Fulton's intersection-multiplicity oracle ------------------------------

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidInput, NegativeExponent, PolySyntaxError
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 

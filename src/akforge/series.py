@@ -1,15 +1,18 @@
 """Weighted-truncated power series in two variables, read as (x, z).
 
-A TruncatedSeries fixes a contract: positive integer weights for the two
-variables and a cutoff.  Only terms whose weighted degree wx*i + wz*j stays
-at or below the cutoff are kept; everything heavier is discarded.  Because
-weights are positive, truncation commutes with ring operations, so all
-arithmetic here is exact modulo the stated window.
+A TruncatedSeries is the window the certifier reads: a polynomial body,
+positive integer weights for the two variables and a cutoff.  Only terms
+whose weighted degree wx*i + wz*j stays at or below the cutoff are kept;
+everything heavier is unknown and has been discarded.  It is produced by
+invert_change and compose_curve, and newton_ak_certify reads its
+coefficients; it has no arithmetic of its own.
 
-One sparse engine does all the work.  Series are SparsePoly bodies (exact
-rational coefficients), and every product is truncated as it is formed: a
-pair of terms whose weighted degrees add up past the cutoff is skipped
-before its coefficients are multiplied.  Substituting a series for the
+One sparse engine does the work behind those two functions.  Series are
+SparsePoly bodies (exact rational coefficients), and every product is
+truncated as it is formed: a pair of terms whose weighted degrees add up
+past the cutoff is skipped before its coefficients are multiplied.  Because
+weights are positive, truncation commutes with the ring operations, so the
+result is exact modulo the stated window.  Substituting a series for the
 second variable is a truncated Horner scheme that raises the series to each
 distinct gap between consecutive exponents once, by binary powering.  The
 family's inverted series y(x, z) has only a handful of terms at every
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 # Unused here; kept because perfbench/spans.py patches series.conv_trunc by name.
 from ._xseries import conv_trunc  # noqa: F401
-from .errors import InvalidInput, MismatchedContract, PreconditionViolated
+from .errors import InvalidInput, PreconditionViolated
 from .poly import Monomial, SparsePoly
 
 _ZERO = Fraction(0)
@@ -70,69 +73,11 @@ class TruncatedSeries:
         weights = Weights(*weights)
         return cls(truncate_by_weight(p, weights, cutoff), weights, cutoff)
 
-    # -- accessors ---------------------------------------------------------
-
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.body.coefficient(i, j)
 
     def terms(self):
         return self.body.terms()
-
-    def truncate(self, cutoff: int) -> "TruncatedSeries":
-        """Shrink the window. The cutoff may only decrease."""
-        if cutoff > self.cutoff:
-            raise InvalidInput("cannot enlarge a truncation window")
-        return TruncatedSeries.from_poly(self.body, self.weights, cutoff)
-
-    # -- ring operations ---------------------------------------------------
-
-    def _require_same_contract(self, other: "TruncatedSeries") -> None:
-        if self.weights != other.weights or self.cutoff != other.cutoff:
-            raise MismatchedContract(
-                f"series contracts differ: weights {tuple(self.weights)} cutoff "
-                f"{self.cutoff} vs weights {tuple(other.weights)} cutoff {other.cutoff}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_contract(other)
-        return TruncatedSeries(self.body + other.body, self.weights, self.cutoff)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_contract(other)
-        return TruncatedSeries(self.body - other.body, self.weights, self.cutoff)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.body, self.weights, self.cutoff)
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self.body.scale(c), self.weights, self.cutoff)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_contract(other)
-        return TruncatedSeries(
-            _mul_trunc(self.body, other.body, self.weights, self.cutoff),
-            self.weights,
-            self.cutoff,
-        )
-
-    def __pow__(self, e: int) -> "TruncatedSeries":
-        if e < 0:
-            raise InvalidInput("negative power of a truncated series")
-        result = TruncatedSeries(SparsePoly.one(), self.weights, self.cutoff)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
 
 # -- truncated products ----------------------------------------------------

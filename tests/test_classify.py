@@ -22,13 +22,14 @@ from akforge.classify import (
     split_and_classify,
 )
 from akforge.errors import (
+    BudgetExceeded,
     InvalidInput,
     MismatchedContract,
     NonIsolated,
     NotACriticalGerm,
     WindowTooSmall,
 )
-from akforge.milnor import milnor_number
+from akforge.milnor import milnor_fulton, milnor_number
 from akforge.poly import SparsePoly, parse_poly
 from akforge.series import TruncatedSeries, Weights
 
@@ -370,6 +371,31 @@ def test_classifier_and_oracle_agree_on_smooth_branch_squares(germ, k):
     f = u * (square + SparsePoly.term(k + 1, 0))
     assert split_and_classify(f) == AkResult("A_k", k=k)
     assert milnor_number(f).mu == k
+
+
+@st.composite
+def unit_factors(draw):
+    """u of degree <= 2 with u(0) != 0."""
+    c = draw(small_ints.filter(bool))
+    rest = {e: draw(small_ints) for e in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+    return SparsePoly({(0, 0): c, **rest})
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 6), invertible_linear, unit_factors())
+def test_unit_factor_keeps_the_type(k, m, u):
+    # u * g has the type of g when u(0) != 0; a unit factor makes the germ
+    # dense, so Fulton may pass its term budget, and the local algebra answers
+    a, b, c, d = m
+    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
+    change = (xv.scale(a) + yv.scale(b), xv.scale(c) + yv.scale(d))
+    g = parse_poly(f"y^2 + x^{k + 1}").compose(*change)
+    f = u * g
+    assert split_and_classify(f) == AkResult("A_k", k=k)
+    try:
+        assert milnor_fulton(f).mu == k
+    except BudgetExceeded:
+        assert milnor_number(f).mu == k
 
 
 def test_certificate_dataclass_properties():

@@ -138,6 +138,14 @@ def test_milnor_non_isolated_exit_1(capsys):
     assert err.startswith("error:") and "no admissible shear" in err
 
 
+def test_milnor_germ_off_the_origin_exit_1(capsys):
+    # both milnor paths, like certify, reject a germ with a constant term
+    for modular in ([], ["--modular"]):
+        code, out, err = run(capsys, "milnor", *modular, "--poly", "1+y^2+x^3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "must vanish at the origin" in err
+
+
 def test_milnor_runs_fulton_first(capsys):
     code, out, _ = run(capsys, "milnor", "--poly", build_F(1).F.to_text())
     payload = json.loads(out)

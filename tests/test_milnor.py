@@ -28,7 +28,6 @@ from akforge.milnor import (
     milnor_fulton,
     milnor_number,
     milnor_resultant,
-    milnor_truncated,
 )
 from akforge.family import build_F, family_params
 from akforge.poly import SparsePoly, parse_poly
@@ -39,19 +38,21 @@ def member_s0() -> SparsePoly:
     return parse_poly("y^2 + x^8 + 4*x^7*y^2") - parse_poly("2*y") * A
 
 
+def truncated_dimension(f: SparsePoly, M: int) -> int:
+    """D(M): local-algebra dimension truncated below total degree M."""
+    return milnor_mod._dimension_profile(f.diff("x"), f.diff("y"), M)[M]
+
+
 def test_truncated_dimension_basics():
-    assert milnor_truncated(parse_poly("x^2 + y^2"), 3) == 1
-    assert milnor_truncated(parse_poly("y^2 + x^6"), 8) == 5
-    for bad in (0, 2.5, True):
-        with pytest.raises(InvalidInput):
-            milnor_truncated(parse_poly("x^2"), bad)
+    assert truncated_dimension(parse_poly("x^2 + y^2"), 3) == 1
+    assert truncated_dimension(parse_poly("y^2 + x^6"), 8) == 5
     with pytest.raises(PreconditionViolated):
-        milnor_truncated(parse_poly("1 + x^2"), 4)
+        milnor_number(parse_poly("1 + x^2"))
 
 
 def test_truncated_dimension_never_stabilizes_for_nonisolated():
     for M in (3, 5, 9):
-        assert milnor_truncated(parse_poly("x^2"), M) == M
+        assert truncated_dimension(parse_poly("x^2"), M) == M
 
 
 def test_milnor_number_small_cases():
@@ -146,7 +147,12 @@ def test_resultant_degree_within_total_degree_bound():
     germs += [f for k, f in _random_changes(random.Random(6336), 110, 15) if k <= 8]
     sharper = 0
     for i, f in enumerate(germs):
-        for t in milnor_mod._shear_values(i)[:3]:
+        rng, shears = random.Random(i), [0]
+        while len(shears) < 3:
+            t = rng.randrange(1, 100)
+            if t not in shears:
+                shears.append(t)
+        for t in shears:
             g = f.compose(xv + yv.scale(t), yv)
             P = milnor_mod._scale_integer(g.diff("x"))
             Q = milnor_mod._scale_integer(g.diff("y"))
@@ -194,7 +200,7 @@ def test_resultant_nonisolated_detection():
     with pytest.raises(NonIsolated):
         milnor_resultant(parse_poly("x^2*y^2"))  # both axes critical
     with pytest.raises(NonIsolated):
-        milnor_resultant(SparsePoly.constant(3))  # zero gradient
+        milnor_resultant(SparsePoly.zero())  # zero gradient
     with pytest.raises(NonIsolated):
         milnor_resultant(parse_poly("(x + y)^3"))  # shared factor in partials
 
@@ -207,15 +213,34 @@ def test_resultant_retries_shear_and_succeeds():
     assert r.mu == 1
 
 
+def test_resultant_rejects_a_germ_off_the_origin():
+    with pytest.raises(PreconditionViolated):
+        milnor_resultant(SparsePoly.constant(3))
+    with pytest.raises(PreconditionViolated):
+        milnor_resultant(parse_poly("1 + y^2 + x^3"), arithmetic="modular")
+
+
 def test_resultant_genericity_failure(monkeypatch):
-    monkeypatch.setattr(milnor_mod, "_shear_values", lambda seed: [0])
+    monkeypatch.setattr(milnor_mod, "_SHEARS", (0,))
     with pytest.raises(GenericityFailure):
         milnor_resultant(parse_poly("x^2 + y^2*(y - 1)^2"))
 
 
 def test_resultant_shear_seed_determinism():
     f = parse_poly("x^2 + y^2*(y - 1)^2")
-    assert milnor_resultant(f, shear_seed=5) == milnor_resultant(f, shear_seed=5)
+    assert milnor_resultant(f) == milnor_resultant(f)
+
+
+def test_resultant_gives_up_on_a_shared_factor_away_from_the_origin():
+    # The partials share (2 + y)^2, which every shear keeps and which meets
+    # x = 0 at y = -2, so no shear is admissible.  The oracle must give no
+    # answer rather than a wrong one; Fulton and the local algebra give 3.
+    f = parse_poly("(2 + y)^3*(y^2 - x^4)")
+    for arithmetic in ("auto", "modular"):
+        with pytest.raises(GenericityFailure, match="no admissible shear"):
+            milnor_resultant(f, arithmetic=arithmetic)
+    assert milnor_fulton(f).mu == 3
+    assert milnor_number(f).mu == 3
 
 
 def test_unknown_arithmetic_rejected():
