@@ -10,7 +10,8 @@ Every kernel is plain numpy over int64 residues.  The resultant oracle's
 modular path uses three: Horner evaluation of the x-variable at many sample
 points (eval_x_batch), the univariate Euclidean resultant at every point at
 once (resultant_batch: one numpy remainder step per group of points that
-share a degree sequence) and Newton interpolation (interpolate_monomial).
+share a degree sequence) and Newton interpolation (interpolate_monomial,
+whose table of difference inverses is one vectorised powmod over 0..span).
 The dense row elimination rank_profile_mod_p has no caller in the package;
 perfbench still traces it under that name.  numpy is imported inside each
 kernel, so importing this module, and with it the package, does not load
@@ -219,7 +220,7 @@ def interpolate_monomial(points: np.ndarray, values: np.ndarray, p: int) -> np.n
 
     Newton divided differences, then expansion to the monomial basis.  The
     sample points must be distinct small non-negative integers; difference
-    inverses are served from one batch table.
+    inverses are served from one table, built by one vectorised powmod.
     """
     import numpy as np
 
@@ -227,9 +228,8 @@ def interpolate_monomial(points: np.ndarray, values: np.ndarray, p: int) -> np.n
     coef = (np.asarray(values, dtype=np.int64) % p).copy()
     n = x.size
     span = int(x.max() - x.min()) if n else 0
-    inv_table = np.zeros(span + 1, dtype=np.int64)
-    for v in range(1, span + 1):
-        inv_table[v] = pow(v, p - 2, p)
+    # Fermat inverses of 0..span in one vectorised powmod; 0 maps to 0.
+    inv_table = _powmod(np.arange(span + 1, dtype=np.int64), p - 2, p)
     for j in range(1, n):
         diff = x[j:] - x[:-j]
         coef[j:] = (coef[j:] - coef[j - 1 : -1]) % p * inv_table[diff] % p

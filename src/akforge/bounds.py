@@ -14,7 +14,9 @@ element x^a y^b (0 <= a, b <= d-2) contributes a spectral value
 and the signature is read off by integrality and floor parity of l.  The
 parity convention is calibrated on d = 2 (a single basis element with
 l = 3/2, which must count as negative since the A_1 form in three
-variables is negative definite).
+variables is negative definite).  With t = a + b + 2, l = (2t + d)/(2d),
+so one integer divmod(2t + d, 2d) classifies a whole diagonal: l is
+integral iff the remainder is 0, and floor(l) is the quotient.
 
 `ratio_table` tabulates the constructed k of the curve family against the
 bound, normalized by d^2; the constructed ratio climbs toward 15/28 while
@@ -103,10 +105,10 @@ def steenbrink_inertia(d: int) -> InertiaIndices:
     for t in range(2, 2 * d - 1):
         u = t - 2
         count = u + 1 if u <= d - 2 else 2 * d - 3 - u
-        spectral = Fraction(t, d) + Fraction(1, 2)
-        if spectral.denominator == 1:
+        floor_l, rem = divmod(2 * t + d, 2 * d)
+        if rem == 0:
             zero += count
-        elif (spectral.numerator // spectral.denominator) % 2 == 1:
+        elif floor_l % 2 == 1:
             minus += count
         else:
             plus += count

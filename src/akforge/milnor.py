@@ -14,7 +14,11 @@ Resultant valuation: after an origin-fixing shear that pushes all other
 critical points off the line x = 0, the Milnor number at the origin is the
 order of vanishing in x of the resultant of the two partials with respect
 to y.  The resultant is recovered by evaluation at integer sample points
-and interpolation, either exactly or modulo two independent primes.
+and interpolation, either exactly or modulo two independent primes.  The
+exact interpolation runs in Python integers: the partials are scaled to
+integer coefficients, so Res_y lies in Z[x], and the divided differences
+of an integer polynomial at integer points are integers, so every
+division is exact; a nonzero remainder raises AssertionError.
 
 Fulton's algorithm: the Milnor number is the intersection multiplicity
 I_0(f_x, f_y), reduced step by step with the rules that define it
@@ -267,16 +271,29 @@ def _exact_resultant_values(
 
 
 def _interp_valuation_exact(points: list[int], values: list[int]) -> int | None:
-    """Order of vanishing at 0 of the degree < len(points) interpolant."""
+    """Order of vanishing at 0 of the degree < len(points) interpolant.
+
+    The values are those of an integer polynomial at increasing integer
+    points, so every divided difference is an integer and each division
+    here is exact.  A nonzero remainder means the values came from no
+    polynomial in Z[x]; it raises AssertionError rather than return a
+    valuation read from a wrong interpolant.
+    """
     n = len(points)
-    coef = [Fraction(v) for v in values]
+    coef = list(values)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
+            q, r = divmod(coef[i] - coef[i - 1], points[i] - points[i - j])
+            if r:
+                raise AssertionError(
+                    f"divided difference of order {j} at {points[i - j]}..{points[i]} "
+                    "is not an integer: the values come from no polynomial in Z[x]"
+                )
+            coef[i] = q
     poly = [coef[n - 1]]
     for j in range(n - 2, -1, -1):
         xj = points[j]
-        nxt = [Fraction(0)] * (len(poly) + 1)
+        nxt = [0] * (len(poly) + 1)
         for i, v in enumerate(poly):
             nxt[i + 1] += v
             nxt[i] -= xj * v
@@ -288,18 +305,39 @@ def _interp_valuation_exact(points: list[int], values: list[int]) -> int | None:
     return None
 
 
+def _leading_y_coefficients(P, Q, p: int | None = None) -> list[dict[int, int]]:
+    """lc_y of P and Q as x-polynomials, for those of positive y-degree.
+
+    With a modulus ``p`` the coefficients are reduced mod p and zero terms
+    dropped, so an empty dict is a coefficient that vanishes identically.
+    """
+    lcs = [_lc_y_poly(R) for R in (P, Q) if R.degree_in("y") > 0]
+    if p is None:
+        return lcs
+    return [{i: c % p for i, c in lc.items() if c % p} for lc in lcs]
+
+
 def _sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
     """The first ``count`` integers t >= 1 where no leading y-coefficient vanishes.
 
     With a modulus ``p`` the test is vanishing mod p, so the y-degrees of
-    both polynomials survive reduction at every chosen point.
+    both polynomials survive reduction at every chosen point; it reads each
+    coefficient at t from powers of t mod p, never the exact value.  The
+    caller makes sure no coefficient vanishes identically mod p, or the
+    search would never end.
     """
-    lcs = [_lc_y_poly(R) for R in (P, Q) if R.degree_in("y") > 0]
     pts: list[int] = []
     t = 1
+    if p is None:
+        lcs = _leading_y_coefficients(P, Q)
+        while len(pts) < count:
+            if all(_eval_int_poly(lc, t) for lc in lcs):
+                pts.append(t)
+            t += 1
+        return pts
+    lcs = [list(lc.items()) for lc in _leading_y_coefficients(P, Q, p)]
     while len(pts) < count:
-        values = [_eval_int_poly(lc, t) for lc in lcs]
-        if all(v % p if p else v for v in values):
+        if all(sum(c * pow(t, i, p) for i, c in lc) % p for lc in lcs):
             pts.append(t)
         t += 1
     return pts
@@ -406,19 +444,18 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
         mode = arithmetic
         if mode == "auto":
             mode = "exact" if bound <= _EXACT_RESULTANT_LIMIT else "modular"
-        if mode == "exact":
-            val = _exact_valuation(P, Q, count)
-            arith_used = "exact"
-        else:
+        arith_used = "exact"
+        if mode == "modular":
             p1, p2 = primes_from_seed(2)
-            v1 = _modular_valuation(P, Q, count, p1)
-            v2 = _modular_valuation(P, Q, count, p2)
-            if v1 != v2:
-                val = _exact_valuation(P, Q, count)
-                arith_used = "exact"
-            else:
-                val = v1
-                arith_used = f"two-prime-modular({p1},{p2})"
+            # A prime that divides a leading y-coefficient outright leaves no
+            # sample point, so it cannot witness; nor can two primes that
+            # disagree.  Both cases take the exact path.
+            if all(all(_leading_y_coefficients(P, Q, p)) for p in (p1, p2)):
+                v1 = _modular_valuation(P, Q, count, p1)
+                if v1 == _modular_valuation(P, Q, count, p2):
+                    val, arith_used = v1, f"two-prime-modular({p1},{p2})"
+        if arith_used == "exact":
+            val = _exact_valuation(P, Q, count)
         if val is None:
             raise NonIsolated("the partials share a factor: resultant is identically zero")
         return MilnorReport(val, RESULTANT_METHOD, val, arith_used)

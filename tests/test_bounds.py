@@ -66,8 +66,8 @@ def test_inertia_matches_per_pair_enumeration():
         assert (si.mu_plus, si.mu_zero, si.mu_minus) == inertia_brute(d)
 
 
-def test_inertia_count_equals_bound_up_to_200():
-    for d in range(2, 201):
+def test_inertia_count_equals_bound_up_to_1000():
+    for d in range(2, 1001):
         si = steenbrink_inertia(d)
         assert si.mu_minus == upper_bound(d)
         assert si.total == (d - 1) ** 2

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import akforge
+from akforge._modp import primes_from_seed
 from akforge.cli import main
 from akforge.family import build_F
 from akforge.poly import parse_poly
@@ -123,6 +124,21 @@ def test_milnor_modular_non_isolated_exits_fast(capsys):
     code, out, err = run(capsys, "milnor", "--modular", "--poly", "(y-x^8)^2")
     assert (code, out) == (1, "") and err.startswith("error:")
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_milnor_modular_when_the_first_prime_divides_a_leading_coefficient():
+    # lc_y(f_y) = 3*p1 vanishes mod p1: the oracle takes the exact path
+    # instead of searching forever for a sample point
+    p1 = primes_from_seed(2)[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "akforge", "milnor", "--modular", "--poly", f"x^2 + {p1}*y^3"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["mu"], payload["arithmetic"]) == (2, "exact")
 
 
 def test_milnor_non_isolated_exit_1(capsys):

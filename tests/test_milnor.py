@@ -6,10 +6,11 @@ import itertools
 import random
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_changes
 
@@ -166,6 +167,103 @@ def test_resultant_degree_within_total_degree_bound():
                 want = milnor_mod._exact_valuation(P, Q, old + 1)
                 assert milnor_mod._exact_valuation(P, Q, min(old, sharp) + 1) == want
     assert sharper >= 100
+
+
+def test_modular_resultant_takes_the_exact_path_when_a_prime_kills_a_leading_coefficient():
+    # lc_y(f_y) = 3*p1 vanishes mod p1 at every x, so p1 has no sample point
+    p1 = primes_from_seed(2)[0]
+    t0 = time.perf_counter()
+    r = milnor_resultant(parse_poly(f"x^2 + {p1}*y^3"), arithmetic="modular")
+    assert time.perf_counter() - t0 < 1.0
+    assert r == MilnorReport(2, "resultant", 2, "exact")
+
+
+def _interp_valuation_fraction(points: list[int], values: list[int]) -> int | None:
+    """Reference: the Fraction divided differences and monomial expansion
+    that _interp_valuation_exact replaced with integer arithmetic."""
+    n = len(points)
+    coef = [Fraction(v) for v in values]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
+    poly = [coef[n - 1]]
+    for j in range(n - 2, -1, -1):
+        xj = points[j]
+        nxt = [Fraction(0)] * (len(poly) + 1)
+        for i, v in enumerate(poly):
+            nxt[i + 1] += v
+            nxt[i] -= xj * v
+        nxt[0] += coef[j]
+        poly = nxt
+    for i, v in enumerate(poly):
+        if v:
+            return i
+    return None
+
+
+@st.composite
+def integer_polys_at_nodes(draw):
+    """An integer polynomial (maybe zero, maybe of high valuation) and its
+    values at increasing nodes t >= 1 with gaps, at least one more node
+    than its degree."""
+    low = [0] * draw(st.integers(0, 12))
+    body = draw(st.lists(st.integers(-(10**6), 10**6), max_size=10))
+    coeffs = low + body
+    n = max(1, len(coeffs) + draw(st.integers(0, 3)))
+    points = list(itertools.accumulate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))))
+    values = [sum(c * t**i for i, c in enumerate(coeffs)) for t in points]
+    return coeffs, points, values
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(integer_polys_at_nodes())
+@example(([0, 0, 0], [1, 3, 4], [0, 0, 0]))  # the zero polynomial
+@example(([0] * 9 + [-5], list(range(2, 22, 2)), [-5 * t**9 for t in range(2, 22, 2)]))
+def test_exact_interpolation_matches_the_fraction_reference(case):
+    coeffs, points, values = case
+    want = next((i for i, c in enumerate(coeffs) if c), None)
+    assert _interp_valuation_fraction(points, values) == want
+    assert milnor_mod._interp_valuation_exact(points, values) == want
+
+
+def test_exact_interpolation_rejects_values_from_no_integer_polynomial():
+    # x(x - 1)/2 is integer-valued at 1, 2, 3 but not in Z[x]: its second
+    # divided difference is 1/2
+    with pytest.raises(AssertionError):
+        milnor_mod._interp_valuation_exact([1, 2, 3], [0, 1, 3])
+
+
+def _big_integer_sample_points(P, Q, count: int, p: int) -> list[int]:
+    """Reference: the test on exact values that _sample_points replaced."""
+    lcs = [milnor_mod._lc_y_poly(R) for R in (P, Q) if R.degree_in("y") > 0]
+    pts, t = [], 1
+    while len(pts) < count:
+        if all(milnor_mod._eval_int_poly(lc, t) % p for lc in lcs):
+            pts.append(t)
+        t += 1
+    return pts
+
+
+def test_modular_sample_points_match_the_big_integer_test(monkeypatch):
+    calls = []
+    sample_points = milnor_mod._sample_points
+
+    def spy(P, Q, count, p=None):
+        calls.append((P, Q, count))
+        return sample_points(P, Q, count, p)
+
+    monkeypatch.setattr(milnor_mod, "_sample_points", spy)
+    milnor_resultant(build_F(1).F, arithmetic="modular")
+    monkeypatch.undo()
+    P, Q, count = calls[0]  # F(1)'s partials, as milnor_resultant shears them
+    for p in primes_from_seed(2):
+        pts = milnor_mod._sample_points(P, Q, count, p)
+        assert pts == _big_integer_sample_points(P, Q, count, p)
+        # leading y-coefficients that vanish at t = 3 mod p only, and at t = 7
+        P2, Q2 = parse_poly(f"(x + {p - 3})*y^2 + x"), parse_poly("(x - 7)*y + 1")
+        pts = milnor_mod._sample_points(P2, Q2, 20, p)
+        assert pts == _big_integer_sample_points(P2, Q2, 20, p)
+        assert pts[:8] == [1, 2, 4, 5, 6, 8, 9, 10]
 
 
 def test_modular_truncated_matches_exact():
