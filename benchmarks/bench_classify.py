@@ -3,24 +3,33 @@
     PYTHONPATH=src python3 benchmarks/bench_classify.py --label after
     PYTHONPATH=<other checkout>/src python3 benchmarks/bench_classify.py --label before
 
-Times ``split_and_classify`` on the family members F(1)..F(4), F(8), F(20)
-and F(200), on the 66 classify germs of perfbench's germ-classify workload
-at seed 101 (the two family members of that workload excluded; texts parsed
-before timing) and on the polynomial-branch germs (y - x^60)^2 and
-(y - x^500)^2.  The members run in increasing order; once one of them takes
-more than 60 s in a single run, the larger ones are recorded as skipped,
-with that reason, instead of being run.  Inside each call it splits the
-time into the coordinate change (``_y_square_chart``, or the older
-``_rotate_corank_one``), the branch lift (``_lift``, or the older
-``_newton_branch``; every evaluation it makes is counted as lift time) and
-the evaluation of f on the lifted branch (``_eval_on_branch`` outside the
-lift).  The names are wrapped in ``akforge.classify``, so the script runs
-unchanged against a checkout that has either set.  The verdicts are kept
-(for the germs, their count and sha256), so two records can be checked for
-identical results.  Each case runs up to three times, stopping once 10 s
-have been spent on it; the median run is reported.  The record is stored
-under ``runs[<label>]`` of ``benchmarks/BENCH_classify.json``; records
-under other labels are kept.
+Times ``split_and_classify`` on three ladders, each run in increasing order:
+
+- the family members F(1)..F(4), F(8), F(20) and F(200);
+- the unit-factor members F(s)*(1 + x^27) for s = 1, 4, 20, 200;
+- F(1)*(1 + x + y)^e for e = 9, 27.
+
+A unit factor keeps the type of the germ but makes its Newton branch dense,
+so these two ladders time the classifier's dense-branch rungs.  A run still
+going after 60 s is stopped; the case is recorded as stopped, and the
+larger cases of its ladder as skipped, with that reason, instead of being
+run.  It also times the 66 classify germs of perfbench's germ-classify
+workload at seed 101 (the two family members of that workload excluded;
+texts parsed before timing) and the polynomial-branch germs (y - x^60)^2
+and (y - x^500)^2.
+
+Inside each call it splits the time into the coordinate change
+(``_y_square_chart``, or the older ``_rotate_corank_one``), the branch lift
+(``_lift``, or the older ``_newton_branch``; every evaluation made inside
+it, f_y and f_yy on the branch, is counted as lift time) and the evaluation
+of f on the branch (``_eval_on_branch`` outside the lift), whichever order
+a rung runs them in.  The names are wrapped in ``akforge.classify``, so the
+script runs unchanged against a checkout that has either set.  The verdicts
+are kept (for the germs, their count and sha256), so two records can be
+checked for identical results.  Each case runs up to three times, stopping
+once 10 s have been spent on it; the median run is reported.  The record
+is stored under ``runs[<label>]`` of ``benchmarks/BENCH_classify.json``;
+records under other labels are kept.
 """
 
 from __future__ import annotations
@@ -28,19 +37,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
-import subprocess
+import signal
 import sys
 import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
-import akforge
 import akforge.classify as classify
 from akforge.errors import AkforgeError
 from akforge.family import build_F
 from akforge.poly import parse_poly
+
+from _common import environment, store
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import germ_classify  # noqa: E402
@@ -48,25 +56,11 @@ from perfbench.workloads import germ_classify  # noqa: E402
 COORDINATES = ("_y_square_chart", "_rotate_corank_one")
 LIFTS = ("_lift", "_newton_branch")
 MEMBERS = (1, 2, 3, 4, 8, 20, 200)
-SKIP_AFTER_S = 60.0
+UNIT_MEMBERS = (1, 4, 20, 200)
+UNIT_POWERS = (9, 27)
+STOP_AFTER_S = 60
 GERM_SEED = 101
 OUT = Path(__file__).resolve().parent / "BENCH_classify.json"
-
-
-def environment() -> dict:
-    src = Path(akforge.__file__).resolve().parent
-
-    def git(*argv: str) -> str:
-        run = subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True)
-        return run.stdout.strip()
-
-    return {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "akforge_commit": git("rev-parse", "HEAD"),
-        "akforge_uncommitted_changes": bool(git("status", "--porcelain", "--", ".")),
-    }
 
 
 def timed_run(germs: list) -> dict:
@@ -124,54 +118,75 @@ def timed_run(germs: list) -> dict:
     }
 
 
+class OverLimit(Exception):
+    """Raised in a run that passes STOP_AFTER_S."""
+
+
+def _over_limit(signum, frame):
+    raise OverLimit
+
+
 def measure(germs: list) -> dict:
     runs = []
     while len(runs) < 3 and sum(r["total_s"] for r in runs) < 10.0:
-        runs.append(timed_run(germs))
+        signal.alarm(STOP_AFTER_S)
+        try:
+            runs.append(timed_run(germs))
+        except OverLimit:
+            return {"stopped": f"one run passed {STOP_AFTER_S} s"}
+        finally:
+            signal.alarm(0)
     runs.sort(key=lambda r: r["total_s"])
     row = dict(runs[len(runs) // 2])
     row["repeats"] = len(runs)
     return row
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this record in the JSON")
-    args = ap.parse_args()
+def cases() -> list[tuple[str, str | None, list]]:
+    """(name, ladder or None, germs) of every case, each ladder in increasing order."""
+    out = [(f"F({s})", "F(s)", [build_F(s).F]) for s in MEMBERS]
+    unit = parse_poly("1 + x^27")
+    out += [(f"F({s})*(1+x^27)", "F(s)*(1+x^27)", [build_F(s).F * unit]) for s in UNIT_MEMBERS]
+    out += [
+        (f"F(1)*(1+x+y)^{e}", "F(1)*(1+x+y)^e", [build_F(1).F * parse_poly(f"(1 + x + y)^{e}")])
+        for e in UNIT_POWERS
+    ]
     germ_texts = [
         inp["poly"]
         for inp in germ_classify(GERM_SEED, small=False)
         if inp["op"] == "classify" and not inp["id"].startswith("F(")
     ]
-    cases = {f"F({s})": [build_F(s).F] for s in MEMBERS}
-    cases[f"germ-classify seed {GERM_SEED} ({len(germ_texts)} germs)"] = [
-        parse_poly(t) for t in germ_texts
-    ]
-    for text in ("(y - x^60)^2", "(y - x^500)^2"):
-        cases[text] = [parse_poly(text)]
+    name = f"germ-classify seed {GERM_SEED} ({len(germ_texts)} germs)"
+    out.append((name, None, [parse_poly(t) for t in germ_texts]))
+    out += [(text, None, [parse_poly(text)]) for text in ("(y - x^60)^2", "(y - x^500)^2")]
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this record in the JSON")
+    args = ap.parse_args()
+    signal.signal(signal.SIGALRM, _over_limit)
     classify.split_and_classify(build_F(0).F)  # warm-up
     rows = {}
-    slow = None
-    for name, germs in cases.items():
-        member = name.startswith("F(")
-        if member and slow:
+    stopped: dict[str, str] = {}
+    for name, ladder, germs in cases():
+        if ladder in stopped:
             rows[name] = {
-                "skipped": f"{slow[0]} took {slow[1]:.1f} s in one run, over the "
-                f"{SKIP_AFTER_S:.0f} s limit, so the larger members were not run"
+                "skipped": f"{stopped[ladder]} was stopped after {STOP_AFTER_S} s, "
+                "so the larger cases of its ladder were not run"
             }
         else:
             rows[name] = measure(germs)
-            if member and rows[name]["total_s"] > SKIP_AFTER_S:
-                slow = (name, rows[name]["total_s"])
+            if ladder and "stopped" in rows[name]:
+                stopped[ladder] = name
         print(name, json.dumps(rows[name]), flush=True)
     record = {
         "environment": environment(),
         "medians_over": "up to 3 runs per case, stopping after 10 s",
         "cases": rows,
     }
-    data = json.loads(OUT.read_text()) if OUT.exists() else {"runs": {}}
-    data["runs"][args.label] = record
-    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    store(OUT, args.label, record)
 
 
 if __name__ == "__main__":

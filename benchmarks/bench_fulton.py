@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -32,6 +31,8 @@ import akforge
 from akforge.family import build_F, family_params
 from akforge.milnor import milnor_fulton
 
+from _common import checkout, environment
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import family_text  # noqa: E402
@@ -40,29 +41,6 @@ OUT = Path(__file__).resolve().parent / "BENCH_fulton.json"
 LADDER = (0, 1, 2, 4, 20, 200, 1000)
 BUDGETS_S = (1.0, 10.0)
 CLI_RUNS = 7
-
-
-def git(src: Path, *argv: str) -> str:
-    run = subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True)
-    return run.stdout.strip()
-
-
-def environment() -> dict:
-    import numpy as np
-
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-    }
-
-
-def checkout(src: Path) -> dict:
-    return {
-        "commit": git(src, "rev-parse", "HEAD") or None,
-        "uncommitted_changes": bool(git(src, "status", "--porcelain", "--", ".")),
-    }
 
 
 def cross_check(s: int) -> float:

@@ -27,22 +27,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
 
-import numpy as np
-
-import akforge
 import akforge.milnor as milnor
 from akforge.bounds import steenbrink_inertia, upper_bound
 from akforge.family import build_F
 from akforge.poly import parse_poly
+
+from _common import environment, store
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -51,23 +47,6 @@ from workloads import make_inputs  # noqa: E402
 SEED = 101
 REPEATS = 5
 OUT = Path(__file__).resolve().parent / "BENCH_kernels.json"
-
-
-def environment() -> dict:
-    src = Path(akforge.__file__).resolve().parent
-    def git(*argv: str) -> str:
-        run = subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True)
-        return run.stdout.strip()
-
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "akforge_commit": git("rev-parse", "HEAD"),
-        "akforge_uncommitted_changes": bool(git("status", "--porcelain", "--", ".")),
-        "AKFORGE_PRIME_SEED": os.environ.get("AKFORGE_PRIME_SEED"),
-    }
 
 
 def bound_table() -> list[str]:
@@ -145,9 +124,7 @@ def main() -> None:
         "medians_over": f"{REPEATS} runs after one warm-up run",
         "cases": cases,
     }
-    data = json.loads(OUT.read_text()) if OUT.exists() else {"runs": {}}
-    data["runs"][args.label] = record
-    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    store(OUT, args.label, record)
 
 
 if __name__ == "__main__":

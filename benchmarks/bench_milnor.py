@@ -22,20 +22,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
-import akforge
 import akforge.milnor as milnor
 from akforge.errors import NonIsolated
 from akforge.poly import parse_poly
+
+from _common import environment, store
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -43,23 +39,6 @@ from workloads import family_text, make_inputs  # noqa: E402
 
 SEED = 101
 OUT = Path(__file__).resolve().parent / "BENCH_milnor.json"
-
-
-def environment() -> dict:
-    src = Path(akforge.__file__).resolve().parent
-    def git(*argv: str) -> str:
-        run = subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True)
-        return run.stdout.strip()
-
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "akforge_commit": git("rev-parse", "HEAD"),
-        "akforge_uncommitted_changes": bool(git("status", "--porcelain", "--", ".")),
-        "AKFORGE_PRIME_SEED": os.environ.get("AKFORGE_PRIME_SEED"),
-    }
 
 
 def timed_calls(calls: list[tuple]) -> dict:
@@ -135,9 +114,7 @@ def main() -> None:
         "medians_over": "up to 3 runs per case, stopping after 10 s",
         "cases": results,
     }
-    data = json.loads(OUT.read_text()) if OUT.exists() else {"runs": {}}
-    data["runs"][args.label] = record
-    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    store(OUT, args.label, record)
 
 
 if __name__ == "__main__":

@@ -20,40 +20,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import time
 from collections import defaultdict
 from pathlib import Path
 
-import numpy as np
-
-import akforge
 import akforge.milnor as milnor
 from akforge.family import build_F
+
+from _common import environment, store
 
 LAYERS = ("_sample_points", "eval_x_batch", "resultant_batch", "interpolate_monomial")
 MAX_S = 3
 BUDGETS_S = (1.0, 10.0)
 OUT = Path(__file__).resolve().parent / "BENCH_resultant.json"
-
-
-def environment() -> dict:
-    src = Path(akforge.__file__).resolve().parent
-    def git(*argv: str) -> str:
-        run = subprocess.run(["git", "-C", str(src), *argv], capture_output=True, text=True)
-        return run.stdout.strip()
-
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "akforge_commit": git("rev-parse", "HEAD"),
-        "akforge_uncommitted_changes": bool(git("status", "--porcelain", "--", ".")),
-        "AKFORGE_PRIME_SEED": os.environ.get("AKFORGE_PRIME_SEED"),
-    }
 
 
 def timed_run(F) -> dict:
@@ -125,9 +104,7 @@ def main() -> None:
         "members": members,
         "frontier": frontier,
     }
-    data = json.loads(OUT.read_text()) if OUT.exists() else {"runs": {}}
-    data["runs"][args.label] = record
-    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    store(OUT, args.label, record)
     print(json.dumps(frontier))
 
 

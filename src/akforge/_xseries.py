@@ -14,6 +14,15 @@ instead of 0.83-1.0 s, best of three, 2-core x86-64, Python 3.11).  The
 gain that matters is on the family, whose Newton branches have about ten
 nonzero terms at precisions up to 2^25: a product there costs the number
 of term pairs, not the precision.
+
+The classifier's Horner step acc * h**gap + layer is ``mul_add``: one
+product pass seeded with the addend, then one content normalization.
+Division a / b reads b only mod x^(prec - ord(a)), since no product with a
+reaches the inverse's higher terms; the classifier's Newton step divides by
+a divisor it evaluates at half the precision for that reason.  The inverse
+comes from Newton's iteration r <- r * (2 - b * r) at precisions 2, 4, 8,
+..., two products per doubling, so the step at the final precision
+dominates its cost.
 """
 
 from __future__ import annotations
@@ -25,14 +34,15 @@ from math import gcd, lcm
 Terms = list[tuple[int, int]]
 
 
-def conv_trunc(a: Terms, b: Terms, n: int) -> Terms:
-    """The (exponent, coefficient) pairs of a*b below x^n, sorted, zeros dropped.
+def conv_trunc(a: Terms, b: Terms, n: int, seed: Terms = ()) -> Terms:
+    """The (exponent, coefficient) pairs of seed + a*b below x^n, sorted, zeros dropped.
 
     Both operands are sorted pair lists, so each row stops at the first
     pair whose exponent would reach n: no coefficient beyond the truncation
-    is ever formed.
+    is ever formed.  The seed pairs, all below n, start the accumulator, so
+    a product and a sum cost one pass.
     """
-    out: dict[int, int] = {}
+    out: dict[int, int] = dict(seed)
     get = out.get
     for i, u in a:
         room = n - i
@@ -165,18 +175,58 @@ class XSeries:
             self.prec,
         )
 
+    def mul_add(self, other: "XSeries", addend: "XSeries") -> "XSeries":
+        """self * other + addend mod x^prec, as one product pass.
+
+        The addend may have any precision: it enters as addend.resize(prec).
+        Over the common denominator, the shorter factor is scaled and the
+        addend's scaled pairs seed the product, so one content normalization
+        follows instead of one per operation.
+        """
+        self._require_same_prec(other)
+        den = self.den * other.den
+        common = lcm(den, addend.den)
+        a, b = self.terms, other.terms
+        if common != den:
+            scale = common // den
+            if len(a) <= len(b):
+                a = [(i, scale * u) for i, u in a]
+            else:
+                b = [(j, scale * v) for j, v in b]
+        up = common // addend.den
+        seed = [(i, up * v) for i, v in addend.terms[: bisect_left(addend.terms, (self.prec,))]]
+        return XSeries._wrap(conv_trunc(a, b, self.prec, seed), common, self.prec)
+
     def reciprocal(self) -> "XSeries":
-        """Multiplicative inverse; the constant term must be nonzero."""
+        """Multiplicative inverse; the constant term must be nonzero.
+
+        Newton's r <- r * (2 - a * r) doubles the number of correct terms, so
+        it runs at precisions 2, 4, 8, ... up to prec, two products a step.
+        """
         if self.order() != 0:
             raise ZeroDivisionError("series has zero constant term")
-        two = XSeries([2], 1, self.prec)
-        r = XSeries([self.den], self.terms[0][1], self.prec)
-        for _ in range(self.prec.bit_length() + 3):
-            nxt = r * (two - self * r)
-            if nxt == r:
-                break
-            r = nxt
+        r = XSeries([self.den], self.terms[0][1], 1)
+        while r.prec < self.prec:
+            prec = min(2 * r.prec, self.prec)
+            r = r.resize(prec)
+            r = r * (XSeries([2], 1, prec) - self.resize(prec) * r)
         return r
 
     def __truediv__(self, other: "XSeries") -> "XSeries":
-        return self * other.reciprocal()
+        """self / other mod x^prec; other is read only mod x^(prec - ord(self)).
+
+        The terms of self start at x^ord(self), so the product never reads the
+        inverse of other at or above x^(prec - ord(self)); the inverse is
+        formed only that far, and other needs no more precision than that.
+        """
+        if other.order() != 0:
+            raise ZeroDivisionError("series has zero constant term")
+        if not self.terms:
+            return XSeries._wrap([], 1, self.prec)
+        need = self.prec - self.terms[0][0]
+        if other.prec < need:
+            raise ValueError("divisor precision below prec - ord(dividend)")
+        inverse = other.resize(need).reciprocal()
+        return XSeries._wrap(
+            conv_trunc(self.terms, inverse.terms, self.prec), self.den * inverse.den, self.prec
+        )

@@ -10,8 +10,10 @@ their own coordinates.  With c = f_yy(0, 0)/2 != 0, the branch h(x) with
 f_y(x, h(x)) = 0, h(0) = 0 gives f = f(x, h) + (y - h)^2 * u, u(0, 0) = c,
 and k = ord_x f(x, h(x)) - 1.  No rotation is needed: for a corank-one
 quadratic part a*x^2 + b*x*y + c*y^2 the 2-jet of f(x, h(x)) is
-(4ac - b^2)/(4c) * x^2 = 0.  Each precision rung is one Newton step, which
-takes the root mod x^p to the root mod x^(2p).
+(4ac - b^2)/(4c) * x^2 = 0.  A precision rung reads f(x, h(x)) mod x^(2p)
+from h, the branch mod x^p, which is exact because f_y(x, h) = O(x^p); only
+if that reading vanishes does one Newton step take h to the root mod
+x^(2p), dividing by f_yy(x, h) mod x^p.
 """
 
 from __future__ import annotations
@@ -151,16 +153,17 @@ def _gap_powers(h: XSeries, exponents: set[int]) -> dict[int, XSeries]:
 def _eval_on_branch(layers: Layers, h: XSeries) -> XSeries:
     """f(x, h(x)) mod x^prec(h), by Horner over the y-exponents of f.
 
-    Consecutive y-exponents e1 > e2 cost one product with h**(e1 - e2), and
-    each distinct gap is raised once per call by binary powering.  F(s) has
-    y-exponents 0, 1, 2, m+1, 2m+1, 3m+1, 4m+1 (m = 7s+2), so its gaps are
-    m, m-1 and 1: a few dozen products, not one per unit of y-degree.
+    Consecutive y-exponents e1 > e2 cost one fused product-and-sum with
+    h**(e1 - e2), and each distinct gap is raised once per call by binary
+    powering.  F(s) has y-exponents 0, 1, 2, m+1, 2m+1, 3m+1, 4m+1 (m = 7s+2),
+    so its gaps are m, m-1 and 1: a few dozen products, not one per unit of
+    y-degree.
     """
     exps = [e for e, _ in layers]
     powers = _gap_powers(h, ({a - b for a, b in zip(exps, exps[1:])} | {exps[-1]}) - {0})
     acc = layers[0][1].resize(h.prec)
     for prev, (e, layer) in zip(exps, layers[1:]):
-        acc = acc * powers[prev - e] + layer.resize(h.prec)
+        acc = acc.mul_add(powers[prev - e], layer)
     if exps[-1]:
         acc = acc * powers[exps[-1]]
     return acc
@@ -169,13 +172,16 @@ def _eval_on_branch(layers: Layers, h: XSeries) -> XSeries:
 def _lift(fy: Layers, fyy: Layers, h: XSeries) -> XSeries:
     """The root of f_y(x, h(x)) = 0 mod x^(2p), from h, the root mod x^p.
 
-    One Newton step; it is skipped when f_y(x, h) already vanishes mod x^(2p).
+    One Newton step h - f_y(x, h) / f_yy(x, h) mod x^(2p); it is skipped when
+    f_y(x, h) already vanishes mod x^(2p).  Since f_y(x, h) = O(x^p), the
+    quotient reads f_yy(x, h) only mod x^p, so f_yy is evaluated on h at its
+    own precision p.
     """
-    h = h.resize(2 * h.prec)
-    num = _eval_on_branch(fy, h)
+    padded = h.resize(2 * h.prec)
+    num = _eval_on_branch(fy, padded)
     if num.is_zero():
-        return h
-    return h - num / _eval_on_branch(fyy, h)
+        return padded
+    return padded - num / _eval_on_branch(fyy, h)
 
 
 def split_and_classify(f: SparsePoly, cap: int | None = None) -> AkResult:
@@ -184,14 +190,19 @@ def split_and_classify(f: SparsePoly, cap: int | None = None) -> AkResult:
     For corank one, with c = f_yy(0, 0)/2 != 0 (x and y swapped otherwise),
     let h solve f_y(x, h(x)) = 0, h(0) = 0.  Then f = f(x, h) + (y - h)^2 * u
     with u(0, 0) = c, so f splits as unit * z^2 + g(x), g(x) = f(x, h(x)), and
-    k = ord_x(g) - 1; the 2-jet (4ac - b^2)/(4c) * x^2 of g vanishes.  h starts
-    at 0, the root mod x, and each rung 2, 4, 8, ... is one Newton step, which
-    doubles the precision of the simple root.  The search stops on its own: an
-    isolated point of a degree-d curve has k = mu <= (d-1)^2 by Bezout applied
-    to the two partials, so once g vanishes mod x^prec with prec > (d-1)^2 + 1
-    the germ is proven non-isolated and NonIsolated is raised.  An optional
-    ``cap`` is a user budget: past a vanishing order of ``cap`` the result is
-    Undetermined.
+    k = ord_x(g) - 1; the 2-jet (4ac - b^2)/(4c) * x^2 of g vanishes.
+
+    A rung starts from h, the root mod x^p (p = 1, 2, 4, ...; h = 0 mod x),
+    reads g mod x^(2p), and only then, if g vanishes there, lifts h by one
+    Newton step to the root mod x^(2p).  Reading g at twice the branch
+    precision is exact: with h* the true branch, f_y(x, h) = O(x^p) and
+    h* - h = O(x^p), so f(x, h*) = f(x, h) + O(x^(2p)) by Taylor's formula in
+    y.  So g is read at 2, 4, 8, ..., and the top rung never lifts.  The
+    search stops on its own: an isolated point of a degree-d curve has
+    k = mu <= (d-1)^2 by Bezout applied to the two partials, so once g
+    vanishes mod x^(2p) with 2p > (d-1)^2 + 1 the germ is proven
+    non-isolated and NonIsolated is raised.  An optional ``cap`` is a user
+    budget: past a vanishing order of ``cap`` the result is Undetermined.
     """
     if cap is not None:
         require_int(cap, "cap", 1)
@@ -210,17 +221,18 @@ def split_and_classify(f: SparsePoly, cap: int | None = None) -> AkResult:
     layers, fy_layers, fyy_layers = map(_y_layers, (f, fy, fy.diff("y")))
     h = XSeries.zero(1)
     while True:
-        h = _lift(fy_layers, fyy_layers, h)
-        order = _eval_on_branch(layers, h).order()
+        prec = 2 * h.prec
+        order = _eval_on_branch(layers, h.resize(prec)).order()
         if order is not None:
             if cap is not None and order > cap:
                 return AkResult("Undetermined", cap=cap)
             return AkResult("A_k", k=order - 1)
-        if h.prec > bezout:
+        if prec > bezout:
             raise NonIsolated(
-                f"f(x, h(x)) vanishes mod x^{h.prec}, past the Bezout bound "
+                f"f(x, h(x)) vanishes mod x^{prec}, past the Bezout bound "
                 f"k + 1 <= (d-1)^2 + 1 = {bezout}: the critical locus "
                 "contains a curve through the origin"
             )
-        if cap is not None and h.prec > cap:
+        if cap is not None and prec > cap:
             return AkResult("Undetermined", cap=cap)
+        h = _lift(fy_layers, fyy_layers, h)

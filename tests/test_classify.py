@@ -140,17 +140,17 @@ def test_classify_rotated_normal_forms():
     assert split_and_classify(parse_poly("(x - 2*y)^2 + y^6")).k == 5
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "(x + y)^2 + x^3",
-        "(x - 2*y)^2 + y^6 + x^3*y",
-        "(3*x - y + x*y)^2*(1 - x + 2*y) + x^9",
-        "1/4*y^2 + 2/3*x^5 + 1/3*x^2*y",
-        "(1/2*x - 3/5*y + 1/7*x^2)^2 + 1/3*y^7",
-        "x^2 + y^4 + x*y^2 - 2*x*y^3",
-    ],
-)
+RUNG_GERMS = [
+    "(x + y)^2 + x^3",
+    "(x - 2*y)^2 + y^6 + x^3*y",
+    "(3*x - y + x*y)^2*(1 - x + 2*y) + x^9",
+    "1/4*y^2 + 2/3*x^5 + 1/3*x^2*y",
+    "(1/2*x - 3/5*y + 1/7*x^2)^2 + 1/3*y^7",
+    "x^2 + y^4 + x*y^2 - 2*x*y^3",
+]
+
+
+@pytest.mark.parametrize("text", RUNG_GERMS)
 def test_each_rung_lifts_the_branch_one_newton_step(text):
     # quadratic parts with b != 0 and c != 0, rational coefficients, and a
     # quadratic part x^2 that puts the germ through the variable swap
@@ -167,6 +167,27 @@ def test_each_rung_lifts_the_branch_one_newton_step(text):
         branch = SparsePoly({(i, 0): c for i, c in enumerate(h.coefficients())})
         residual = fy.subst("y", branch)
         assert all(m.ex >= h.prec for m, _ in residual.terms()), (rung, h)
+
+
+def as_poly(h: XSeries) -> SparsePoly:
+    return SparsePoly({(i, 0): c for i, c in enumerate(h.coefficients())})
+
+
+@pytest.mark.parametrize("text", RUNG_GERMS)
+def test_f_on_the_branch_mod_x_2p_needs_the_root_mod_x_p(text):
+    # f_y(x, h) = O(x^p) and h* - h = O(x^p), so f(x, h) = f(x, h*) mod x^(2p):
+    # the classifier reads f at twice the branch precision before lifting
+    f = _y_square_chart(parse_poly(text))
+    fy = f.diff("y")
+    layers, fy_layers, fyy_layers = map(_y_layers, (f, fy, fy.diff("y")))
+    h = XSeries.zero(1)
+    while h.prec <= 16:
+        p = h.prec
+        far = _lift(fy_layers, fyy_layers, _lift(fy_layers, fyy_layers, h))
+        assert far.prec == 4 * p
+        exact = {m.ex: c for m, c in f.subst("y", as_poly(far)).terms() if m.ex < 2 * p}
+        assert _eval_on_branch(layers, h.resize(2 * p)) == XSeries.from_terms(exact, 2 * p)
+        h = _lift(fy_layers, fyy_layers, h)
 
 
 @st.composite
@@ -261,6 +282,19 @@ def test_classify_far_members(s):
     # the branch has about ten nonzero terms at precision up to 2^25, so the
     # sparse series and the gap powers keep each member to milliseconds
     assert split_and_classify(build_member(s)) == AkResult("A_k", k=420 * s * s + 269 * s + 42)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4, 20])
+def test_classify_unit_factor_members(s):
+    # u * F(s) with u(0) = 1 has the type of F(s), but its branch is dense:
+    # these rungs run the division, the reciprocal and the full Horner sums
+    f = build_member(s) * parse_poly("1 + x^27")
+    assert split_and_classify(f) == AkResult("A_k", k=420 * s * s + 269 * s + 42)
+
+
+def test_classify_dense_unit_factor_member():
+    f = build_member(1) * parse_poly("(1 + x + y)^9")
+    assert split_and_classify(f) == AkResult("A_k", k=731)
 
 
 def test_classify_high_order_and_high_degree_graph():

@@ -205,3 +205,81 @@ def test_reciprocal_and_division_against_fraction_oracle(case):
     quotient = b / a
     assert_canonical(quotient)
     assert quotient.coefficients() == fraction_product(fb, inverse)
+
+
+# -- the classifier's kernels: fused product-and-sum, division, reciprocal -----
+
+
+@st.composite
+def products_and_addends(draw):
+    """Two operands at one precision and an addend at any precision up to 340."""
+    prec, (fa, fb) = draw(operands())
+    addend_prec = draw(st.integers(1, 340))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return prec, fa, fb, draw_coeffs(rng, addend_prec, draw(shapes))
+
+
+@PROPERTY
+@given(products_and_addends())
+@example((3, [Fraction(0), Fraction(1, 2), Fraction(0)], [Fraction(1, 3)] * 3,
+          [Fraction(1, 5), Fraction(0), Fraction(0), Fraction(7, 9), Fraction(1)]))
+@example((4, [Fraction(1, 6)] * 4, [Fraction(3, 2)] * 4, [Fraction(-1, 4)] * 4))
+def test_mul_add_is_product_plus_resized_addend(case):
+    prec, fa, fb, fc = case
+    a, b = XSeries.from_fractions(fa, prec), XSeries.from_fractions(fb, prec)
+    c = XSeries.from_fractions(fc, len(fc))
+    got = a.mul_add(b, c)
+    assert_canonical(got)
+    assert got == a * b + c.resize(prec)
+
+
+@PROPERTY
+@given(operands(), st.integers(0, 300), st.integers(0, 2**32))
+@example((8, [[Fraction(0)] * 8, [Fraction(1)] * 8]), 0, 1)
+def test_division_reads_the_divisor_below_prec_minus_order(case, order, seed):
+    # a product with a, whose terms start at x^ord(a), never reads the
+    # divisor's inverse at or above x^(prec - ord(a))
+    prec, (fa, fb) = case
+    order = min(order, prec - 1)
+    a = XSeries.from_fractions([Fraction(0)] * order + fa[order:], prec)
+    fb = [fb[0] or Fraction(5, 3), *fb[1:]]
+    b = XSeries.from_fractions(fb, prec)
+    cut = prec - a.order() if a.terms else 1
+    rng = random.Random(seed)
+    changed = fb[:cut] + [Fraction(rng.randrange(-99, 100), rng.randrange(1, 9)) for _ in fb[cut:]]
+    assert a / XSeries.from_fractions(changed, prec) == a / b
+    assert a / b.resize(cut) == a / b
+    if cut > 1:
+        with pytest.raises(ValueError):
+            a / b.resize(cut - 1)
+
+
+@PROPERTY
+@given(operands(), st.booleans())
+@example((3, [[Fraction(0)] * 3, [Fraction(0), Fraction(1), Fraction(0)]]), True)
+def test_division_by_a_zero_constant_term_raises(case, zero_dividend):
+    prec, (fa, fb) = case
+    a = XSeries.zero(prec) if zero_dividend else XSeries.from_fractions(fa, prec)
+    b = XSeries.from_fractions([Fraction(0), *fb[1:]], prec)
+    with pytest.raises(ZeroDivisionError):
+        a / b
+
+
+def test_reciprocal_doubles_the_precision(monkeypatch):
+    # Newton's step at precisions 2, 4, ..., 2^12 costs two products each;
+    # a step at full precision would read 4096 terms every time
+    import akforge._xseries as xseries
+
+    seen = []
+
+    def spy(a, b, n, *seed):
+        seen.append(n)
+        return conv_trunc(a, b, n, *seed)
+
+    conv_trunc = xseries.conv_trunc
+    monkeypatch.setattr(xseries, "conv_trunc", spy)
+    prec = 2**12
+    inverse = XSeries([1, -1], prec=prec).reciprocal()
+    assert inverse.den == 1 and inverse.terms == [(i, 1) for i in range(prec)]
+    assert len(seen) <= 2 * 13
+    assert sum(seen) <= 4 * prec
