@@ -1,5 +1,9 @@
 """Truncated univariate power series with exact rational coefficients.
 
+The package's one series arithmetic: the classifier's Newton branches and
+the z-layers of the certifier's window (``series.py``) are XSeries, and both
+substitute into a polynomial with ``subst_horner`` below.
+
 A series is stored sparsely: the sorted (exponent, numerator) pairs of its
 nonzero coefficients below the precision, over one shared positive
 denominator, normalized so the numerators and the denominator have content
@@ -15,14 +19,14 @@ gain that matters is on the family, whose Newton branches have about ten
 nonzero terms at precisions up to 2^25: a product there costs the number
 of term pairs, not the precision.
 
-The classifier's Horner step acc * h**gap + layer is ``mul_add``: one
-product pass seeded with the addend, then one content normalization.
-Division a / b reads b only mod x^(prec - ord(a)), since no product with a
-reaches the inverse's higher terms; the classifier's Newton step divides by
-a divisor it evaluates at half the precision for that reason.  The inverse
-comes from Newton's iteration r <- r * (2 - b * r) at precisions 2, 4, 8,
-..., two products per doubling, so the step at the final precision
-dominates its cost.
+A Horner step acc * r**gap + layer is ``mul_add``: one product pass seeded
+with the addend, then one content normalization.  Division a / b reads b
+only mod x^(prec - ord(a)), since no product with a reaches the inverse's
+higher terms; the classifier's Newton step divides by a divisor it
+evaluates at half the precision for that reason.  The inverse comes from
+Newton's iteration r <- r * (2 - b * r) at precisions 2, 4, 8, ..., two
+products per doubling, so the step at the final precision dominates its
+cost.
 """
 
 from __future__ import annotations
@@ -134,6 +138,8 @@ class XSeries:
         """Change precision; enlarging pads with (unknown-as-zero) terms."""
         if prec < 1:
             raise ValueError("precision must be positive")
+        if prec == self.prec:
+            return self
         return XSeries._wrap(self.terms[: bisect_left(self.terms, (prec,))], self.den, prec)
 
     def __eq__(self, other: object) -> bool:
@@ -230,3 +236,38 @@ class XSeries:
         return XSeries._wrap(
             conv_trunc(self.terms, inverse.terms, self.prec), self.den * inverse.den, self.prec
         )
+
+
+def _gap_powers(r, exponents: set[int]) -> dict:
+    """r**e for each positive e, by binary powering over shared squarings."""
+    squares = [r]
+    while (1 << len(squares)) <= max(exponents, default=0):
+        squares.append(squares[-1] * squares[-1])
+    out = {}
+    for e in exponents:
+        acc = None
+        for bit, sq in enumerate(squares):
+            if e >> bit & 1:
+                acc = sq if acc is None else acc * sq
+        out[e] = acc
+    return out
+
+
+def subst_horner(layers: list, r):
+    """The sum of c * r**e over the (e, c) pairs of layers, e falling, by Horner.
+
+    The top c lies in the ring of r; the others are addends of its mul_add.
+    Consecutive exponents e1 > e2 cost one acc.mul_add(r**(e1 - e2), c2), and
+    each distinct gap is raised once per call by binary powering, so r needs
+    only ``*`` and ``mul_add``.  F(s) has y-exponents 0, 1, 2, m+1, 2m+1,
+    3m+1, 4m+1 (m = 7s+2), so its gaps are m, m-1 and 1: a few dozen
+    products, not one per unit of y-degree.
+    """
+    exps = [e for e, _ in layers]
+    powers = _gap_powers(r, ({a - b for a, b in zip(exps, exps[1:])} | {exps[-1]}) - {0})
+    acc = layers[0][1]
+    for prev, (e, layer) in zip(exps, layers[1:]):
+        acc = acc.mul_add(powers[prev - e], layer)
+    if exps[-1]:
+        acc = acc * powers[exps[-1]]
+    return acc

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._xseries import XSeries
+from ._xseries import XSeries, subst_horner
 from .errors import (
     InvalidInput,
     MismatchedContract,
@@ -75,8 +75,7 @@ def newton_ak_certify(series: TruncatedSeries, expected_k: int) -> AkCertificate
     the certificate therefore records as violations exactly the retained
     terms, other than the endpoints, with weight at or below that line.
     """
-    if expected_k < 1:
-        raise InvalidInput("expected_k must be at least 1")
+    require_int(expected_k, "expected_k", 1)
     k1 = expected_k + 1
     if tuple(series.weights) != (2, k1):
         raise MismatchedContract(
@@ -135,38 +134,10 @@ def _y_layers(f: SparsePoly) -> Layers:
     return [(e, XSeries.from_terms(c, max(c) + 1)) for e, c in layers]
 
 
-def _gap_powers(h: XSeries, exponents: set[int]) -> dict[int, XSeries]:
-    """h**e mod x^prec(h) for each positive e, by binary powering over shared squarings."""
-    squares = [h]
-    while (1 << len(squares)) <= max(exponents, default=0):
-        squares.append(squares[-1] * squares[-1])
-    out = {}
-    for e in exponents:
-        acc = None
-        for bit, sq in enumerate(squares):
-            if e >> bit & 1:
-                acc = sq if acc is None else acc * sq
-        out[e] = acc
-    return out
-
-
 def _eval_on_branch(layers: Layers, h: XSeries) -> XSeries:
-    """f(x, h(x)) mod x^prec(h), by Horner over the y-exponents of f.
-
-    Consecutive y-exponents e1 > e2 cost one fused product-and-sum with
-    h**(e1 - e2), and each distinct gap is raised once per call by binary
-    powering.  F(s) has y-exponents 0, 1, 2, m+1, 2m+1, 3m+1, 4m+1 (m = 7s+2),
-    so its gaps are m, m-1 and 1: a few dozen products, not one per unit of
-    y-degree.
-    """
-    exps = [e for e, _ in layers]
-    powers = _gap_powers(h, ({a - b for a, b in zip(exps, exps[1:])} | {exps[-1]}) - {0})
-    acc = layers[0][1].resize(h.prec)
-    for prev, (e, layer) in zip(exps, layers[1:]):
-        acc = acc.mul_add(powers[prev - e], layer)
-    if exps[-1]:
-        acc = acc * powers[exps[-1]]
-    return acc
+    """f(x, h(x)) mod x^prec(h), by the shared Horner scheme over the y-exponents of f."""
+    (top_e, top), *rest = layers
+    return subst_horner([(top_e, top.resize(h.prec)), *rest], h)
 
 
 def _lift(fy: Layers, fyy: Layers, h: XSeries) -> XSeries:

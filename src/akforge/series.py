@@ -7,16 +7,16 @@ everything heavier is unknown and has been discarded.  It is produced by
 invert_change and compose_curve, and newton_ak_certify reads its
 coefficients; it has no arithmetic of its own.
 
-One sparse engine does the work behind those two functions.  Series are
-SparsePoly bodies (exact rational coefficients), and every product is
-truncated as it is formed: a pair of terms whose weighted degrees add up
-past the cutoff is skipped before its coefficients are multiplied.  Because
-weights are positive, truncation commutes with the ring operations, so the
-result is exact modulo the stated window.  Substituting a series for the
-second variable is a truncated Horner scheme that raises the series to each
-distinct gap between consecutive exponents once, by binary powering.  The
-family's inverted series y(x, z) has only a handful of terms at every
-member, so the cost follows the number of terms, not the window's x-range.
+Behind those two functions a series is a sum of z-layers c_j(x) * z^j, each
+c_j an XSeries (integer numerators over one denominator) mod
+x^((cutoff - wz*j)//wx + 1): exactly the terms of weight within the cutoff.
+A product is one truncated XSeries product per pair of nonzero layers, so
+no term above the cutoff is ever formed; since weights are positive, the
+result is exact modulo the window.  Substitution for the second variable is
+the Horner scheme the classifier shares, ``subst_horner``.  The family's
+window (weights (2, k+1), cutoff 2(k+1)) has only the layers z^0, z^1, z^2,
+and its inverted series y(x, z) a handful of terms at every member, so the
+cost follows the number of terms, not the window's x-range.
 """
 
 from __future__ import annotations
@@ -25,17 +25,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._xseries import XSeries, subst_horner
 # Unused here; kept because perfbench/spans.py patches series.conv_trunc by name.
 from ._xseries import conv_trunc  # noqa: F401
-from .errors import InvalidInput, PreconditionViolated
+from .errors import InvalidInput, PreconditionViolated, require_int
 from .poly import Monomial, SparsePoly
-
-_ZERO = Fraction(0)
 
 
 class Weights(NamedTuple):
     wx: int
     wz: int
+
+
+def _checked_window(weights, cutoff) -> Weights:
+    """The weights as Weights, once both are integers >= 1 and the cutoff >= 0."""
+    weights = Weights(*weights)
+    require_int(weights.wx, "series weight wx", 1)
+    require_int(weights.wz, "series weight wz", 1)
+    require_int(cutoff, "series cutoff", 0)
+    return weights
 
 
 def truncate_by_weight(p: SparsePoly, weights: Weights, cutoff: int) -> SparsePoly:
@@ -55,12 +63,8 @@ class TruncatedSeries:
     cutoff: int
 
     def __post_init__(self):
-        wx, wz = self.weights
-        if wx < 1 or wz < 1:
-            raise InvalidInput("series weights must be positive integers")
-        if self.cutoff < 0:
-            raise InvalidInput("series cutoff must be non-negative")
-        object.__setattr__(self, "weights", Weights(int(wx), int(wz)))
+        wx, wz = weights = _checked_window(self.weights, self.cutoff)
+        object.__setattr__(self, "weights", weights)
         for m, _ in self.body.terms():
             if wx * m.ex + wz * m.ey > self.cutoff:
                 raise InvalidInput(
@@ -80,92 +84,65 @@ class TruncatedSeries:
         return self.body.terms()
 
 
-# -- truncated products ----------------------------------------------------
+# -- the window as z-layers ------------------------------------------------
 
 
-def _mul_trunc(a: SparsePoly, b: SparsePoly, weights: Weights, cutoff: int) -> SparsePoly:
-    """The product a*b with every term above the cutoff left out.
+@dataclass(eq=False, slots=True)
+class _ZLayers:
+    """A series in (x, z) inside the window (wx, wz, cutoff), as {j: c_j(x)}.
 
-    The weighted degree of each pair is known before its coefficients are
-    touched, so pairs that would land above the cutoff are skipped without
-    a multiplication.  Sorting b by weight lets the inner loop stop at the
-    first term that no longer fits.
+    Only nonzero layers are kept; c_j is an XSeries mod x^((cutoff - wz*j)//wx
+    + 1).  Every operand of one computation shares the window.
     """
-    wx, wz = weights
-    bs = sorted(
-        ((wx * m.ex + wz * m.ey, m.ex, m.ey, c) for m, c in b._terms.items()),
-        key=lambda t: t[0],
-    )
-    data: dict[Monomial, Fraction] = {}
-    for (ax, ay), ac in a._terms.items():
-        room = cutoff - wx * ax - wz * ay
-        for bw, bx, by, bc in bs:
-            if bw > room:
-                break
-            m = Monomial(ax + bx, ay + by)
-            s = data.get(m, _ZERO) + ac * bc
-            if s:
-                data[m] = s
-            else:
-                del data[m]
-    return SparsePoly._wrap(data)
+
+    rows: dict[int, XSeries]
+    window: tuple[int, int, int]
+
+    @classmethod
+    def from_rows(cls, rows: dict[int, dict], window: tuple[int, int, int]) -> "_ZLayers":
+        """The window's part of the series with {j: {i: coefficient of x^i z^j}}."""
+        wx, wz, cutoff = window
+        layers = [(j, XSeries.from_terms(row, (cutoff - wz * j) // wx + 1))
+                  for j, row in rows.items() if wz * j <= cutoff]
+        return cls({j: c for j, c in layers if c.terms}, window)
+
+    def to_poly(self) -> SparsePoly:
+        return SparsePoly._wrap(
+            {Monomial(i, j): Fraction(v, c.den) for j, c in self.rows.items() for i, v in c.terms}
+        )
+
+    def __add__(self, other: "_ZLayers") -> "_ZLayers":
+        rows = dict(self.rows)
+        for j, c in other.rows.items():
+            rows[j] = rows[j] + c if j in rows else c
+        return _ZLayers({j: c for j, c in rows.items() if c.terms}, self.window)
+
+    def __mul__(self, other: "_ZLayers") -> "_ZLayers":
+        return self.mul_add(other, _ZLayers({}, self.window))
+
+    def mul_add(self, other: "_ZLayers", addend: "_ZLayers") -> "_ZLayers":
+        """self * other + addend in the window: one fused XSeries step per pair of layers."""
+        wx, wz, cutoff = self.window
+        rows, empty = dict(addend.rows), XSeries.zero(1)
+        for i, a in self.rows.items():
+            for l, b in other.rows.items():
+                j = i + l
+                if wz * j <= cutoff:
+                    n = (cutoff - wz * j) // wx + 1
+                    rows[j] = a.resize(n).mul_add(b.resize(n), rows.get(j, empty))
+        return _ZLayers({j: c for j, c in rows.items() if c.terms}, self.window)
 
 
-def _powers_trunc(
-    r: SparsePoly, exponents: set[int], weights: Weights, cutoff: int
-) -> dict[int, SparsePoly]:
-    """Truncated r**e for each positive e, by binary powering over shared squarings."""
-    squares = [r]
-    while (1 << len(squares)) <= max(exponents, default=0):
-        squares.append(_mul_trunc(squares[-1], squares[-1], weights, cutoff))
-    out = {}
-    for e in exponents:
-        acc = None
-        for bit, sq in enumerate(squares):
-            if e >> bit & 1:
-                acc = sq if acc is None else _mul_trunc(acc, sq, weights, cutoff)
-        out[e] = acc
-    return out
-
-
-def _subst_second_truncated(
-    F: SparsePoly, r: SparsePoly, weights: Weights, cutoff: int
-) -> SparsePoly:
-    """F(x, r), truncated, by Horner's scheme over the y-exponents of F.
-
-    Consecutive y-exponents e1 > e2 cost one product with r**(e1 - e2).  Each
-    distinct gap is powered once per call; the family's gaps are mostly m,
-    so one r**m serves every step.
-    """
-    wx = weights.wx
-    layers: dict[int, dict[Monomial, Fraction]] = {}
-    for m, c in F._terms.items():
-        if wx * m.ex <= cutoff:
-            layers.setdefault(m.ey, {})[Monomial(m.ex, 0)] = c
-    if not layers:
-        return SparsePoly.zero()
-    exps = sorted(layers, reverse=True)
-    gaps = [prev - e for prev, e in zip(exps, exps[1:])]
-    tail = exps[-1]
-    powers = _powers_trunc(r, {*gaps, tail} - {0}, weights, cutoff)
-    acc = SparsePoly._wrap(layers[exps[0]])
-    for gap, e in zip(gaps, exps[1:]):
-        acc = _mul_trunc(acc, powers[gap], weights, cutoff) + SparsePoly._wrap(layers[e])
-    if tail:
-        acc = _mul_trunc(acc, powers[tail], weights, cutoff)
-    return acc
+def _subst(F: SparsePoly, r: _ZLayers) -> _ZLayers:
+    """F(x, r) in the window of r."""
+    layers = [
+        (e, _ZLayers.from_rows({0: row}, r.window))
+        for e, row in sorted(F.coeffs_in_y().items(), reverse=True)
+    ]
+    return subst_horner(layers, r) if layers else _ZLayers({}, r.window)
 
 
 # -- coordinate-change inversion -------------------------------------------
-
-
-def _check_inversion_input(A: SparsePoly, weights: Weights, cutoff: int) -> None:
-    if A.order() < 2:
-        raise PreconditionViolated(
-            "the perturbation must vanish to order 2 at the origin"
-        )
-    if weights.wz > cutoff:
-        raise InvalidInput("cutoff is too small to represent the new variable")
 
 
 def invert_change(A: SparsePoly, weights: Weights, cutoff: int) -> TruncatedSeries:
@@ -177,14 +154,17 @@ def invert_change(A: SparsePoly, weights: Weights, cutoff: int) -> TruncatedSeri
     Each pass substitutes the current iterate into A with the truncated
     Horner scheme, so no term above the cutoff is ever multiplied out.
     """
-    weights = Weights(*weights)
-    _check_inversion_input(A, weights, cutoff)
-    z = SparsePoly.variable("y")
+    weights = _checked_window(weights, cutoff)
+    if A.order() < 2:
+        raise PreconditionViolated("the perturbation must vanish to order 2 at the origin")
+    if weights.wz > cutoff:
+        raise InvalidInput("cutoff is too small to represent the new variable")
+    z = _ZLayers.from_rows({1: {0: 1}}, (*weights, cutoff))
     phi = z
     for _ in range(cutoff + 2):
-        nxt = z + _subst_second_truncated(A, phi, weights, cutoff)
-        if nxt == phi:
-            return TruncatedSeries(phi, weights, cutoff)
+        nxt = z + _subst(A, phi)
+        if nxt.rows == phi.rows:
+            return TruncatedSeries(phi.to_poly(), weights, cutoff)
         phi = nxt
     raise RuntimeError("fixed-point iteration failed to converge")
 
@@ -196,6 +176,5 @@ def compose_curve(F: SparsePoly, y_series: TruncatedSeries) -> TruncatedSeries:
     never form a term above the series' cutoff.
     """
     weights, cutoff = y_series.weights, y_series.cutoff
-    return TruncatedSeries(
-        _subst_second_truncated(F, y_series.body, weights, cutoff), weights, cutoff
-    )
+    r = _ZLayers.from_rows(y_series.body.coeffs_in_y(), (*weights, cutoff))
+    return TruncatedSeries(_subst(F, r).to_poly(), weights, cutoff)

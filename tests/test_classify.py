@@ -89,6 +89,14 @@ def test_certify_window_and_contract_errors():
         newton_ak_certify(s, 0)
 
 
+def test_certify_rejects_a_non_integer_k():
+    # 2.0 matches the (2, 3) weights numerically and used to be certified as k = 2.0
+    with pytest.raises(InvalidInput):
+        newton_ak_certify(series_for("y^2 + x^3", 2), 2.0)
+    with pytest.raises(InvalidInput):
+        newton_ak_certify(series_for("y^2 + x^2", 1), True)
+
+
 def test_certificate_term_exactly_on_segment_midpoint():
     # for odd weights, (3, 1) with k=5: 2*3 + 6*1 = 12 = 2(k+1): on the segment
     cert = newton_ak_certify(series_for("y^2 + x^6 + x^3*y", 5), 5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -189,6 +190,14 @@ def test_construct_s0(capsys):
     assert payload["family"]["d"] == 9 and payload["family"]["k"] == 42
     assert payload["newton_certificate"]["coeff_x_k_plus_1"] == "56"
     assert payload["milnor"] is None
+
+
+def test_construct_s1_stdout_is_pinned(capsys):
+    # the canonical certificate bytes of member 1, exactly as printed
+    code, out, err = run(capsys, "construct", "--s", "1")
+    assert (code, err) == (0, "")
+    digest = "436711afd47a25dec1b82211f66e3f6be9861c95445081d1fe9cb61b57f40071"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_construct_with_milnor(capsys):

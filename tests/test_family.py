@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -192,3 +193,19 @@ def test_certification_failure_carries_certificate(monkeypatch):
         certify_member(0)
     assert err.value.certificate is not None
     assert not err.value.certificate.certified
+
+
+# sha256 of json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n",
+# the bytes `akforge construct --s N` prints; the certificate must not drift.
+CERT_SHA256 = {
+    0: "60773f6c252cdf23138a4d527ec092b9d9bbd5bb4cbf3f6647a57e3338a212ef",
+    1: "436711afd47a25dec1b82211f66e3f6be9861c95445081d1fe9cb61b57f40071",
+    2: "568e0dc2265100c4d8131d9cbd771bb6993fc4bacea5458a16618d4e6c3432fc",
+    4: "d6211d17c87fcd129884febc5609606f7f341e8f11c29147c3446226748871b5",
+}
+
+
+@pytest.mark.parametrize("s", sorted(CERT_SHA256))
+def test_certificate_bytes_are_pinned(s):
+    text = json.dumps(certify_member(s).to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[s]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,3 +520,20 @@ def test_fulton_matches_local_algebra_on_changed_ak_germs(germ):
     except BudgetExceeded:
         return
     assert report.mu == milnor_number(f).mu == k
+
+
+@pytest.mark.parametrize("module", ["milnor", "_modp", "_exactrank"])
+def test_oracles_import_nothing_of_the_certifier(module):
+    # the oracles cross-check the certifier and the classifier, so they must
+    # share no code with them: no series, XSeries, Horner scheme or family
+    path = Path(milnor_mod.__file__).with_name(f"{module}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.rpartition(".")[2])
+            if node.level or node.module == "akforge":
+                imported |= {alias.name for alias in node.names}
+    assert not imported & {"series", "_xseries", "classify", "family"}, imported

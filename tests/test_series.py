@@ -14,7 +14,7 @@ from akforge.poly import SparsePoly, parse_poly
 from akforge.series import (
     TruncatedSeries,
     Weights,
-    _mul_trunc,
+    _ZLayers,
     compose_curve,
     invert_change,
     truncate_by_weight,
@@ -32,6 +32,13 @@ def rand_int_poly(rng: random.Random, max_deg=4, nterms=5, min_deg=0) -> SparseP
                 break
         terms.append((e, rng.randrange(-9, 10)))
     return SparsePoly(terms)
+
+
+def layered_product(p: SparsePoly, q: SparsePoly, w: Weights, cutoff: int) -> SparsePoly:
+    """p * q in the window, formed on z-layers."""
+    window = (*w, cutoff)
+    a, b = (_ZLayers.from_rows(t.coeffs_in_y(), window) for t in (p, q))
+    return (a * b).to_poly()
 
 
 def test_contract_validation():
@@ -61,8 +68,25 @@ def test_mul_matches_truncated_sparse_product():
             p = p.scale(Fraction(1, rng.randrange(2, 5)))
         a = TruncatedSeries.from_poly(p, w, cutoff)
         b = TruncatedSeries.from_poly(q, w, cutoff)
-        got = _mul_trunc(a.body, b.body, w, cutoff)
+        got = layered_product(a.body, b.body, w, cutoff)
         assert got == truncate_by_weight(a.body * b.body, w, cutoff)
+
+
+def test_mul_across_several_z_layers():
+    # weights (1, 2) and cutoff 9 give the layers z^0 .. z^4, of precisions
+    # 10, 8, 6, 4, 2; every product layer sums several pairs of layers
+    w, cutoff = Weights(1, 2), 9
+    p = parse_poly("(1 + x + 1/2*y)^4 + x^3*y^2")
+    q = parse_poly("(2 - x*y + y^2)^3 + 1/3*x^7")
+    window = (*w, cutoff)
+    a, b = (_ZLayers.from_rows(t.coeffs_in_y(), window) for t in (p, q))
+    assert sorted(a.rows) == sorted(b.rows) == [0, 1, 2, 3, 4]
+    assert [a.rows[j].prec for j in range(5)] == [10, 8, 6, 4, 2]
+    want = truncate_by_weight(p * q, w, cutoff)
+    assert (a * b).to_poly() == want
+    r = parse_poly("x^2 - 5*y^3")
+    c = _ZLayers.from_rows(r.coeffs_in_y(), window)
+    assert a.mul_add(b, c).to_poly() == want + truncate_by_weight(r, w, cutoff)
 
 
 def test_invert_simple_quadratic_gives_catalan_counts():
@@ -88,6 +112,38 @@ def test_invert_precondition():
 def test_invert_cutoff_must_fit_z():
     with pytest.raises(InvalidInput):
         invert_change(parse_poly("y^2"), Weights(1, 5), 4)
+
+
+def test_invert_rejects_non_integer_weights():
+    # 2.5 used to be computed with and then recorded as 2: the body lacked
+    # x^3, which true (2, 3) weights keep within cutoff 7
+    with pytest.raises(InvalidInput):
+        invert_change(parse_poly("x^3 + y^2"), Weights(2.5, 3), 7)
+    for w, cutoff in ((Weights(True, 1), 4), (Weights(1, 1), 4.0), (Weights(1, 1), True)):
+        with pytest.raises(InvalidInput):
+            invert_change(parse_poly("y^2"), w, cutoff)
+
+
+def test_invert_rejects_a_zero_weight_at_once():
+    # a zero x-weight never gains weighted order: this used to run for minutes
+    with pytest.raises(InvalidInput):
+        invert_change(parse_poly("x*y + y^2"), Weights(0, 1), 200)
+
+
+@pytest.mark.parametrize("w", [Weights(0, 1), Weights(-1, 1), Weights(1, 0), Weights(1, -2)])
+def test_invert_rejects_non_positive_weights(w):
+    # these used to end in RuntimeError after the whole iteration
+    with pytest.raises(InvalidInput):
+        invert_change(parse_poly("x*y + y^2"), w, 4)
+
+
+@pytest.mark.parametrize(
+    "w, cutoff",
+    [(Weights(2.5, 3), 7), (Weights(2, 3.0), 7), (Weights(False, 1), 4), (Weights(1, 1), 7.0)],
+)
+def test_series_record_rejects_non_integer_window(w, cutoff):
+    with pytest.raises(InvalidInput):
+        TruncatedSeries(SparsePoly.zero(), w, cutoff)
 
 
 def invert_oracle(A: SparsePoly, w: Weights, cutoff: int) -> SparsePoly:
@@ -201,7 +257,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 def test_mul_property_matches_untruncated_product(p, q, w, cutoff):
     a = TruncatedSeries.from_poly(p, w, cutoff)
     b = TruncatedSeries.from_poly(q, w, cutoff)
-    got = _mul_trunc(a.body, b.body, w, cutoff)
+    got = layered_product(a.body, b.body, w, cutoff)
     assert got == truncate_by_weight(a.body * b.body, w, cutoff)
 
 
