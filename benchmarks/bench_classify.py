@@ -3,14 +3,18 @@
     PYTHONPATH=src python3 benchmarks/bench_classify.py --label after
     PYTHONPATH=<other checkout>/src python3 benchmarks/bench_classify.py --label before
 
-Times ``split_and_classify`` on three ladders, each run in increasing order:
+Times ``split_and_classify`` on these ladders, each run in increasing order:
 
 - the family members F(1)..F(4), F(8), F(20) and F(200);
-- the unit-factor members F(s)*(1 + x^27) for s = 1, 4, 20, 200;
+- the unit-factor members F(s)*(1 + x^27) for s = 1, 4, 20, 200,
+  F(s)*(1 + x) for s = 20, 200, F(s)*(1 + x + y) for s = 6, 20, and
+  F(s)*(1 + x)^27 for s = 1, 20, 200 (degree 28s + 36: a degree that is
+  not 9 mod 28);
 - F(1)*(1 + x + y)^e for e = 9, 27.
 
-A unit factor keeps the type of the germ but makes its Newton branch dense,
-so these two ladders time the classifier's dense-branch rungs.  A run still
+A unit factor u (u(0) != 0) keeps the type of the germ but enters f_y and
+f_yy, so these ladders time the classifier's division and Horner sums away
+from the family's sparse shape.  A run still
 going after 60 s is stopped; the case is recorded as stopped, and the
 larger cases of its ladder as skipped, with that reason, instead of being
 run.  It also times the 66 classify germs of perfbench's germ-classify
@@ -56,7 +60,13 @@ from perfbench.workloads import germ_classify  # noqa: E402
 COORDINATES = ("_y_square_chart", "_rotate_corank_one")
 LIFTS = ("_lift", "_newton_branch")
 MEMBERS = (1, 2, 3, 4, 8, 20, 200)
-UNIT_MEMBERS = (1, 4, 20, 200)
+# (unit factor as text, its ladder of s)
+UNIT_LADDERS = (
+    ("(1+x^27)", (1, 4, 20, 200)),
+    ("(1+x)", (20, 200)),
+    ("(1+x+y)", (6, 20)),
+    ("(1+x)^27", (1, 20, 200)),
+)
 UNIT_POWERS = (9, 27)
 STOP_AFTER_S = 60
 GERM_SEED = 101
@@ -145,8 +155,9 @@ def measure(germs: list) -> dict:
 def cases() -> list[tuple[str, str | None, list]]:
     """(name, ladder or None, germs) of every case, each ladder in increasing order."""
     out = [(f"F({s})", "F(s)", [build_F(s).F]) for s in MEMBERS]
-    unit = parse_poly("1 + x^27")
-    out += [(f"F({s})*(1+x^27)", "F(s)*(1+x^27)", [build_F(s).F * unit]) for s in UNIT_MEMBERS]
+    for unit, ladder in UNIT_LADDERS:
+        u = parse_poly(unit)
+        out += [(f"F({s})*{unit}", f"F(s)*{unit}", [build_F(s).F * u]) for s in ladder]
     out += [
         (f"F(1)*(1+x+y)^{e}", "F(1)*(1+x+y)^e", [build_F(1).F * parse_poly(f"(1 + x + y)^{e}")])
         for e in UNIT_POWERS

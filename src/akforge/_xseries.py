@@ -20,19 +20,17 @@ nonzero terms at precisions up to 2^25: a product there costs the number
 of term pairs, not the precision.
 
 A Horner step acc * r**gap + layer is ``mul_add``: one product pass seeded
-with the addend, then one content normalization.  Division a / b reads b
-only mod x^(prec - ord(a)), since no product with a reaches the inverse's
-higher terms; the classifier's Newton step divides by a divisor it
-evaluates at half the precision for that reason.  The inverse comes from
-Newton's iteration r <- r * (2 - b * r) at precisions 2, 4, 8, ..., two
-products per doubling, so the step at the final precision dominates its
-cost.
+with the addend, then one content normalization.  Division a / b is sparse
+long division over the integers: each quotient term costs one pass over
+b's terms, so a division costs about (quotient terms) x (divisor terms) and
+reads b only mod x^(prec - ord(a)).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 Terms = list[tuple[int, int]]
@@ -203,39 +201,45 @@ class XSeries:
         seed = [(i, up * v) for i, v in addend.terms[: bisect_left(addend.terms, (self.prec,))]]
         return XSeries._wrap(conv_trunc(a, b, self.prec, seed), common, self.prec)
 
-    def reciprocal(self) -> "XSeries":
-        """Multiplicative inverse; the constant term must be nonzero.
-
-        Newton's r <- r * (2 - a * r) doubles the number of correct terms, so
-        it runs at precisions 2, 4, 8, ... up to prec, two products a step.
-        """
-        if self.order() != 0:
-            raise ZeroDivisionError("series has zero constant term")
-        r = XSeries([self.den], self.terms[0][1], 1)
-        while r.prec < self.prec:
-            prec = min(2 * r.prec, self.prec)
-            r = r.resize(prec)
-            r = r * (XSeries([2], 1, prec) - self.resize(prec) * r)
-        return r
-
     def __truediv__(self, other: "XSeries") -> "XSeries":
-        """self / other mod x^prec; other is read only mod x^(prec - ord(self)).
+        """self / other mod x^prec by sparse long division; other(0) must be nonzero.
 
-        The terms of self start at x^ord(self), so the product never reads the
-        inverse of other at or above x^(prec - ord(self)); the inverse is
-        formed only that far, and other needs no more precision than that.
+        Each quotient term cancels the lowest remainder term against b0, the
+        numerator of other(0); when b0 does not divide that term, remainder
+        and quotient are first scaled by |b0| / gcd.  The remainder starts at
+        x^ord(self), so other is read only mod x^(prec - ord(self)).
         """
         if other.order() != 0:
             raise ZeroDivisionError("series has zero constant term")
         if not self.terms:
             return XSeries._wrap([], 1, self.prec)
-        need = self.prec - self.terms[0][0]
-        if other.prec < need:
+        prec = self.prec
+        if other.prec < prec - self.terms[0][0]:
             raise ValueError("divisor precision below prec - ord(dividend)")
-        inverse = other.resize(need).reciprocal()
-        return XSeries._wrap(
-            conv_trunc(self.terms, inverse.terms, self.prec), self.den * inverse.den, self.prec
-        )
+        (_, b0), *tail = other.terms
+        rest = dict(self.terms)
+        todo = list(rest)  # sorted, so already a heap
+        quotient, scale = [], 1
+        while todo:
+            i = heappop(todo)
+            r = rest.pop(i)
+            if not r:
+                continue
+            if r % b0:
+                m = abs(b0) // gcd(r, b0)
+                scale, r = scale * m, r * m
+                quotient = [(e, m * v) for e, v in quotient]
+                rest = {e: m * v for e, v in rest.items()}
+            q = r // b0
+            quotient.append((i, q))
+            for j, v in tail:
+                if i + j >= prec:
+                    break
+                if i + j not in rest:
+                    heappush(todo, i + j)
+                rest[i + j] = rest.get(i + j, 0) - q * v
+        # scale * self = quotient * other over the numerators
+        return XSeries._wrap([(e, other.den * v) for e, v in quotient], self.den * scale, prec)
 
 
 def _gap_powers(r, exponents: set[int]) -> dict:

@@ -134,6 +134,15 @@ def _y_layers(f: SparsePoly) -> Layers:
     return [(e, XSeries.from_terms(c, max(c) + 1)) for e, c in layers]
 
 
+def _dy(layers: Layers) -> Layers:
+    """The y-layers of the y-derivative: layer e of f becomes e * c_e at e - 1."""
+    return [
+        (e - 1, XSeries._wrap([(i, e * v) for i, v in c.terms], c.den, c.prec))
+        for e, c in layers
+        if e
+    ]
+
+
 def _eval_on_branch(layers: Layers, h: XSeries) -> XSeries:
     """f(x, h(x)) mod x^prec(h), by the shared Horner scheme over the y-exponents of f."""
     (top_e, top), *rest = layers
@@ -143,10 +152,12 @@ def _eval_on_branch(layers: Layers, h: XSeries) -> XSeries:
 def _lift(fy: Layers, fyy: Layers, h: XSeries) -> XSeries:
     """The root of f_y(x, h(x)) = 0 mod x^(2p), from h, the root mod x^p.
 
-    One Newton step h - f_y(x, h) / f_yy(x, h) mod x^(2p); it is skipped when
-    f_y(x, h) already vanishes mod x^(2p).  Since f_y(x, h) = O(x^p), the
-    quotient reads f_yy(x, h) only mod x^p, so f_yy is evaluated on h at its
-    own precision p.
+    ``fy`` and ``fyy`` are the y-layers of f_y and f_yy.  One Newton step
+    h - f_y(x, h) / f_yy(x, h) mod x^(2p); it is skipped when f_y(x, h)
+    already vanishes mod x^(2p).  Since f_y(x, h) = O(x^p), the quotient
+    reads f_yy(x, h) only mod x^p, so f_yy is evaluated on h at its own
+    precision p.  The division is sparse: on a unit-factor member such as
+    F(s) * (1 + x^27) it costs a few terms, not the precision.
     """
     padded = h.resize(2 * h.prec)
     num = _eval_on_branch(fy, padded)
@@ -174,6 +185,7 @@ def split_and_classify(f: SparsePoly, cap: int | None = None) -> AkResult:
     vanishes mod x^(2p) with 2p > (d-1)^2 + 1 the germ is proven
     non-isolated and NonIsolated is raised.  An optional ``cap`` is a user
     budget: past a vanishing order of ``cap`` the result is Undetermined.
+    f's y-layers are built once; those of f_y and f_yy are derived from them.
     """
     if cap is not None:
         require_int(cap, "cap", 1)
@@ -188,8 +200,9 @@ def split_and_classify(f: SparsePoly, cap: int | None = None) -> AkResult:
         return AkResult("NotCorankOne")
     f = _y_square_chart(f)
     bezout = (f.total_degree - 1) ** 2 + 1
-    fy = f.diff("y")
-    layers, fy_layers, fyy_layers = map(_y_layers, (f, fy, fy.diff("y")))
+    layers = _y_layers(f)
+    fy_layers = _dy(layers)
+    fyy_layers = _dy(fy_layers)
     h = XSeries.zero(1)
     while True:
         prec = 2 * h.prec

@@ -187,20 +187,7 @@ class SparsePoly:
         return SparsePoly._wrap({m: v * c for m, v in self._terms.items()})
 
     def __pow__(self, e: int) -> "SparsePoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        if len(self._terms) == 1:
-            ((ex, ey), c), = self._terms.items()
-            return SparsePoly._wrap({Monomial(ex * e, ey * e): c**e})
-        result = _POLY_ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, operator.mul)
 
     def diff(self, var: str) -> "SparsePoly":
         """Formal partial derivative with respect to 'x' or 'y'."""
@@ -321,6 +308,23 @@ class SparsePoly:
         return f"SparsePoly({self.to_text()!r})"
 
 
+def _power(p: SparsePoly, e: int, mul) -> SparsePoly:
+    """p**e by binary powering, each product formed by ``mul``; one term in one step."""
+    if e < 0:
+        raise ValueError("negative power of a polynomial")
+    if len(p._terms) == 1:
+        ((ex, ey), c), = p._terms.items()
+        return SparsePoly._wrap({Monomial(ex * e, ey * e): c**e})
+    result = _POLY_ONE
+    while e:
+        if e & 1:
+            result = mul(result, p)
+        e >>= 1
+        if e:
+            p = mul(p, p)
+    return result
+
+
 def _power_table(base: SparsePoly, exponents: set[int]) -> dict[int, SparsePoly]:
     table = {0: _POLY_ONE}
     top = max(exponents, default=0)
@@ -362,6 +366,14 @@ _POLY_Y = SparsePoly({(0, 1): 1})
 # coefficient dict and becomes a SparsePoly once, at its end.
 
 _NUM, _VAR, _OP, _LPAR, _RPAR, _END = range(6)
+
+# Term products (one per pair of terms multiplied) that expanding the
+# products and powers of one text may form, counted before each product of a
+# parenthesized polynomial; past the budget the text is InvalidInput.
+# Exponents cost nothing, so (x^1000000000000 + y)^2 parses at once.
+# (1 + x + y)^40 forms 51,000 term products (0.3 s); (1 + x + y)^60 would form
+# 284,000, and (1 + x + y)^100000 is refused within its first squarings.
+EXPANSION_BUDGET = 10**5
 
 
 # One token after optional whitespace; the groups are a number with an
@@ -407,6 +419,16 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.pairs = 0
+
+    def product(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
+        """a * b, charged its len(a) * len(b) term products against EXPANSION_BUDGET."""
+        self.pairs += len(a) * len(b)
+        if self.pairs > EXPANSION_BUDGET:
+            raise InvalidInput(
+                f"expanding the input forms more than {EXPANSION_BUDGET} term products"
+            )
+        return a * b
 
     def peek(self):
         return self.tokens[self.pos]
@@ -457,7 +479,7 @@ class _Parser:
                 if isinstance(node, tuple) and isinstance(rhs, tuple):
                     node = (node[0] * rhs[0], node[1] + rhs[1], node[2] + rhs[2])
                 else:
-                    node = _as_poly(node) * _as_poly(rhs)
+                    node = self.product(_as_poly(node), _as_poly(rhs))
             else:
                 return node
 
@@ -492,7 +514,7 @@ class _Parser:
             self.advance()
             e = val
             if isinstance(node, SparsePoly):
-                return node**e
+                return _power(node, e, self.product)
             c, ex, ey = node
             return (c**e, ex * e, ey * e)
         return node

@@ -14,6 +14,7 @@ from akforge.classify import (
     AkCertificate,
     AkResult,
     _eval_on_branch,
+    _dy,
     _lift,
     _y_layers,
     _y_square_chart,
@@ -199,6 +200,38 @@ def test_f_on_the_branch_mod_x_2p_needs_the_root_mod_x_p(text):
 
 
 @st.composite
+def y_polys(draw):
+    """Rational f with up to 12 terms, y-degree up to 9 and x-degree up to 30."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        c = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        terms[(rng.randrange(31), rng.randrange(10))] = c
+    return SparsePoly(terms)
+
+
+def _assert_derived_layers(f: SparsePoly) -> None:
+    # the classifier derives f_y and f_yy from f's layers; SparsePoly.diff is the reference
+    fy_layers = _dy(_y_layers(f))
+    assert fy_layers == _y_layers(f.diff("y"))
+    assert _dy(fy_layers) == _y_layers(f.diff("y").diff("y"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(y_polys())
+@example(parse_poly("x^3 + 5"))
+@example(parse_poly("y"))
+@example(parse_poly("2/3*x*y^2 - y^3"))
+def test_y_derivative_layers_equal_the_layers_of_the_derivative(f):
+    _assert_derived_layers(f)
+
+
+@pytest.mark.parametrize("text", RUNG_GERMS)
+def test_y_derivative_layers_on_the_rung_germs(text):
+    _assert_derived_layers(_y_square_chart(parse_poly(text)))
+
+
+@st.composite
 def germs_and_branches(draw):
     """f with y-exponent gaps up to 12, and a series h of precision up to 40."""
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -292,12 +325,24 @@ def test_classify_far_members(s):
     assert split_and_classify(build_member(s)) == AkResult("A_k", k=420 * s * s + 269 * s + 42)
 
 
-@pytest.mark.parametrize("s", [0, 1, 2, 3, 4, 20])
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4, 20, 200])
 def test_classify_unit_factor_members(s):
-    # u * F(s) with u(0) = 1 has the type of F(s), but its branch is dense:
-    # these rungs run the division, the reciprocal and the full Horner sums
-    f = build_member(s) * parse_poly("1 + x^27")
-    assert split_and_classify(f) == AkResult("A_k", k=420 * s * s + 269 * s + 42)
+    # u * F(s) with u(0) = 1 has the type of F(s), but the unit enters f_y
+    # and f_yy: these rungs run the long division and the full Horner sums
+    for unit in ("1 + x^27", "1 + x", "1 + x + y"):
+        f = build_member(s) * parse_poly(unit)
+        assert split_and_classify(f) == AkResult("A_k", k=420 * s * s + 269 * s + 42), unit
+
+
+@pytest.mark.parametrize("s, pads", [(0, range(28)), (1, range(28)), (20, [27])])
+def test_every_degree_member_keeps_the_type(s, pads):
+    # F(s) * (1 + x)^j has degree d = 28s + 9 + j and the A_k point of F(s),
+    # so the degrees 28s + 9 .. 28s + 36 all have a member of type A_k(s)
+    k = 420 * s * s + 269 * s + 42
+    for j in pads:
+        f = build_member(s) * parse_poly(f"(1 + x)^{j}")
+        assert f.total_degree == 28 * s + 9 + j
+        assert split_and_classify(f) == AkResult("A_k", k=k), j
 
 
 def test_classify_dense_unit_factor_member():

@@ -142,6 +142,22 @@ def test_milnor_modular_when_the_first_prime_divides_a_leading_coefficient():
     assert (payload["mu"], payload["arithmetic"]) == (2, "exact")
 
 
+def test_certify_expansion_past_the_budget_exit_2():
+    # (1 + x + y)^100000 would take hours to expand; the parser's term budget
+    # refuses it before the first large product
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "akforge", "certify", "--poly", "(1+x+y)^100000"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=20,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and "term products" in proc.stderr
+
+
 def test_milnor_non_isolated_exit_1(capsys):
     # Fulton's reduction turns one partial into 0 and proves non-isolation.
     # The resultant oracle behind --modular finds no admissible shear on this

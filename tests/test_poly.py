@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from akforge.errors import InvalidInput, NegativeExponent, PolySyntaxError
-from akforge.poly import Monomial, SparsePoly, format_rational, parse_poly
+from akforge.poly import EXPANSION_BUDGET, Monomial, SparsePoly, format_rational, parse_poly
 
 
 def rand_poly(rng: random.Random, max_deg: int = 5, nterms: int = 6) -> SparsePoly:
@@ -259,6 +259,23 @@ def test_parse_bad_exponents():
         parse_poly("x^1/2")
     with pytest.raises(PolySyntaxError):
         parse_poly("x^(2)")
+
+
+def test_parse_expansion_budget():
+    # the budget counts term products, not degrees: huge exponents are free
+    assert len(parse_poly("(1 + x + y)^40")) == 861
+    assert parse_poly("(x^1000000000000 + y)^2") == SparsePoly(
+        {(2000000000000, 0): 1, (1000000000000, 1): 2, (0, 2): 1}
+    )
+    # a power, a product of two powers within the budget, and two powers
+    # within it that one text adds: its products share the budget
+    for text in (
+        "(1 + x + y)^100000",
+        "(1 + x + y)^30 * (1 - x + y)^30",
+        "(1 + x + y)^40 + (1 - x + y)^40",
+    ):
+        with pytest.raises(InvalidInput, match=str(EXPANSION_BUDGET)):
+            parse_poly(text)
 
 
 def test_parse_zero_denominator():

@@ -93,18 +93,18 @@ def test_reciprocal_and_division():
             a = a + XSeries.one(prec)
         if a.coefficient(0) == 0:
             continue
-        r = a.reciprocal()
+        r = XSeries.one(prec) / a
         assert (a * r).coefficients() == [1] + [0] * (prec - 1)
         b = rand_series(rng, prec)
         assert ((b / a) * a) == b * XSeries.one(prec)
     with pytest.raises(ZeroDivisionError):
-        XSeries([0, 1], prec=3).reciprocal()
+        XSeries.one(3) / XSeries([0, 1], prec=3)
 
 
 def test_geometric_series_inverse():
     # 1/(1 - x) = 1 + x + x^2 + ...
     one_minus_x = XSeries([1, -1], prec=8)
-    assert one_minus_x.reciprocal().coefficients() == [1] * 8
+    assert (XSeries.one(8) / one_minus_x).coefficients() == [1] * 8
 
 
 def test_resize():
@@ -199,7 +199,7 @@ def test_reciprocal_and_division_against_fraction_oracle(case):
     fa = [fa[0] or Fraction(-3, 2), *fa[1:]]
     a, b = XSeries.from_fractions(fa, prec), XSeries.from_fractions(fb, prec)
     inverse = oracle_reciprocal(fa)
-    got = a.reciprocal()
+    got = XSeries.one(prec) / a
     assert_canonical(got)
     assert got.coefficients() == inverse
     quotient = b / a
@@ -207,7 +207,7 @@ def test_reciprocal_and_division_against_fraction_oracle(case):
     assert quotient.coefficients() == fraction_product(fb, inverse)
 
 
-# -- the classifier's kernels: fused product-and-sum, division, reciprocal -----
+# -- the classifier's kernels: fused product-and-sum and division -------------
 
 
 @st.composite
@@ -265,21 +265,43 @@ def test_division_by_a_zero_constant_term_raises(case, zero_dividend):
         a / b
 
 
-def test_reciprocal_doubles_the_precision(monkeypatch):
-    # Newton's step at precisions 2, 4, ..., 2^12 costs two products each;
-    # a step at full precision would read 4096 terms every time
-    import akforge._xseries as xseries
+B0 = [Fraction(v) for v in (-1, 1, 2, -3, 6, 12)] + [Fraction(-3, 4), Fraction(5, 6)]
 
-    seen = []
 
-    def spy(a, b, n, *seed):
-        seen.append(n)
-        return conv_trunc(a, b, n, *seed)
+@st.composite
+def sparse_quotients_and_divisors(draw):
+    """q and b with a few rational terms at a precision up to 2^20; b(0) from a fixed set."""
+    prec = draw(st.sampled_from([1, 2, 7, 30, 300, 2**12, 2**20]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
 
-    conv_trunc = xseries.conv_trunc
-    monkeypatch.setattr(xseries, "conv_trunc", spy)
-    prec = 2**12
-    inverse = XSeries([1, -1], prec=prec).reciprocal()
-    assert inverse.den == 1 and inverse.terms == [(i, 1) for i in range(prec)]
-    assert len(seen) <= 2 * 13
-    assert sum(seen) <= 4 * prec
+    def sparse(count: int) -> dict[int, Fraction]:
+        return {
+            rng.randrange(prec): Fraction(rng.randrange(-(2**20), 2**20), rng.randrange(1, 2**8))
+            for _ in range(count)
+        }
+
+    q = sparse(draw(st.integers(0, 8)))
+    b = {**sparse(draw(st.integers(0, 6))), 0: draw(st.sampled_from(B0))}
+    return XSeries.from_terms(q, prec), XSeries.from_terms(b, prec)
+
+
+@PROPERTY
+@given(sparse_quotients_and_divisors())
+@example((XSeries.from_terms({1: Fraction(1, 2), 5: 7}, 9), XSeries([6, -4, 0, 9], prec=9)))
+@example((XSeries.from_terms({0: 5, 3: Fraction(-2, 9)}, 8), XSeries([-3, 2, 1], prec=8)))
+def test_division_undoes_a_product(case):
+    # (q * b) / b == q mod x^prec; b(0) = -1, 2, -3, 6, ... makes the long
+    # division scale its remainder whenever b(0) does not divide a term
+    q, b = case
+    got = (q * b) / b
+    assert_canonical(got)
+    assert got == q
+
+
+def test_sparse_division_mod_a_huge_power():
+    # (x^3 + x^30) / (1 + x^27) = x^3 exactly: one quotient term, however
+    # far the precision reaches; b's inverse mod x^(2^30) is never formed
+    prec = 2**30
+    a = XSeries.from_terms({3: 1, 30: 1}, prec)
+    b = XSeries.from_terms({0: 1, 27: 1}, prec)
+    assert a / b == XSeries.from_terms({3: 1}, prec)
