@@ -14,11 +14,14 @@ Resultant valuation: after an origin-fixing shear that pushes all other
 critical points off the line x = 0, the Milnor number at the origin is the
 order of vanishing in x of the resultant of the two partials with respect
 to y.  The resultant is recovered by evaluation at integer sample points
-and interpolation, either exactly or modulo two independent primes.  The
-exact interpolation runs in Python integers: the partials are scaled to
-integer coefficients, so Res_y lies in Z[x], and the divided differences
-of an integer polynomial at integer points are integers, so every
-division is exact; a nonzero remainder raises AssertionError.
+and interpolation, either exactly or modulo two independent primes.  Each
+sheared partial is scaled to integer coefficients once and kept as y-layers
+{j: {i: c}}, the form every later step reads.  The exact path evaluates
+the layers at each point and takes the Sylvester determinant by
+fraction-free elimination, all in Python integers; Res_y lies in Z[x], and
+the divided differences of an integer polynomial at integer points are
+integers, so every division of the interpolation is exact and a nonzero
+remainder raises AssertionError.
 
 Fulton's algorithm: the Milnor number is the intersection multiplicity
 I_0(f_x, f_y), reduced step by step with the rules that define it
@@ -36,7 +39,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
 from ._exactrank import det_bareiss, rank_profile_sparse, sylvester_matrix
 from ._modp import eval_x_batch, interpolate_monomial, primes_from_seed, resultant_batch
@@ -51,9 +53,6 @@ from .errors import (
     require_int,
 )
 from .poly import SparsePoly
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TRUNCATED_METHOD = "truncated-local-algebra"
 RESULTANT_METHOD = "resultant"
@@ -81,6 +80,12 @@ class MilnorReport:
     arithmetic: str
 
 
+def _integer_terms(p: SparsePoly) -> dict[tuple[int, int], int]:
+    """{(i, j): c} for the terms c*x^i*y^j of p times the lcm of its denominators."""
+    den = lcm(*(c.denominator for _, c in p.terms()))
+    return {(m.ex, m.ey): c.numerator * (den // c.denominator) for m, c in p.terms()}
+
+
 def _col_index(i: int, j: int) -> int:
     # Monomials ordered by total degree, then by x-exponent within a degree.
     deg = i + j
@@ -91,15 +96,15 @@ def _relation_rows(fx: SparsePoly, fy: SparsePoly, m_top: int) -> list[dict[int,
     """Rows spanning {monomial * partial, truncated below degree m_top}."""
     rows: list[dict[int, int]] = []
     for g in (fx, fy):
-        if g.is_zero:
+        terms = _integer_terms(g)
+        if not terms:
             continue
-        terms = [((m.ex, m.ey), int(c)) for m, c in _scale_integer(g).terms()]
-        og = min(tx + ty for (tx, ty), _ in terms)
+        og = min(tx + ty for tx, ty in terms)
         for du in range(m_top - og):
             for a in range(du + 1):
                 b = du - a
                 row = {}
-                for (tx, ty), c in terms:
+                for (tx, ty), c in terms.items():
                     if a + tx + b + ty < m_top:
                         row[_col_index(a + tx, b + ty)] = c
                 if row:
@@ -179,21 +184,22 @@ def milnor_number(
 # -- resultant-valuation oracle --------------------------------------------
 
 
-def _scale_integer(p: SparsePoly) -> SparsePoly:
-    den = 1
-    for _, c in p.terms():
-        den = lcm(den, c.denominator)
-    return p.scale(den) if den != 1 else p
+def _y_layers(terms: dict[tuple[int, int], int]) -> dict[int, dict[int, int]]:
+    """The same terms as y-layers {j: {i: c}}."""
+    layers: dict[int, dict[int, int]] = {}
+    for (i, j), c in terms.items():
+        layers.setdefault(j, {})[i] = c
+    return layers
 
 
-def _restriction_y(p: SparsePoly) -> list[Fraction]:
+def _degrees(terms: dict[tuple[int, int], int]) -> tuple[int, int, int]:
+    """x-degree, y-degree and total degree of nonzero integer terms."""
+    return max(i for i, _ in terms), max(j for _, j in terms), max(i + j for i, j in terms)
+
+
+def _restriction_y(layers: dict[int, dict[int, int]]) -> list[Fraction]:
     """Coefficient list (low to high) of p(0, y)."""
-    out: list[Fraction] = []
-    for m, c in p.terms():
-        if m.ex == 0:
-            if len(out) <= m.ey:
-                out.extend([Fraction(0)] * (m.ey + 1 - len(out)))
-            out[m.ey] = c
+    out = [Fraction(layers.get(j, {}).get(0, 0)) for j in range(max(layers) + 1)]
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -220,54 +226,6 @@ def _gcd_univariate(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def _is_monomial_univ(c: list[Fraction]) -> bool:
     return sum(1 for v in c if v) == 1
-
-
-def _lc_y_poly(p: SparsePoly) -> dict[int, int]:
-    """Integer x-coefficients of the leading y-layer."""
-    dy = p.degree_in("y")
-    layer = p.coeffs_in_y()[dy]
-    return {i: int(c) for i, c in layer.items()}
-
-
-def _eval_int_poly(coeffs: dict[int, int], t: int) -> int:
-    return sum(c * t**i for i, c in coeffs.items())
-
-
-def _dense_y_matrix(p: SparsePoly) -> list[list[int]]:
-    """C[b][i] = integer coefficient of y^b x^i."""
-    dy, dx = p.degree_in("y"), p.degree_in("x")
-    mat = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for m, c in p.terms():
-        mat[m.ey][m.ex] = int(c)
-    return mat
-
-
-def _exact_resultant_values(
-    P: SparsePoly, Q: SparsePoly, points: list[int]
-) -> list[int]:
-    py, qy = P.degree_in("y"), Q.degree_in("y")
-    pc = P.coeffs_in_y()
-    qc = Q.coeffs_in_y()
-
-    def layer_values(layers, dy, t):
-        return [
-            sum(int(c) * t**i for i, c in layers.get(b, {}).items())
-            for b in range(dy + 1)
-        ]
-
-    values = []
-    for t in points:
-        pv = layer_values(pc, py, t)
-        qv = layer_values(qc, qy, t)
-        if py == 0 and qy == 0:
-            values.append(1)
-        elif py == 0:
-            values.append(pv[0] ** qy)
-        elif qy == 0:
-            values.append(qv[0] ** py)
-        else:
-            values.append(det_bareiss(sylvester_matrix(pv, qv)))
-    return values
 
 
 def _interp_valuation_exact(points: list[int], values: list[int]) -> int | None:
@@ -305,77 +263,41 @@ def _interp_valuation_exact(points: list[int], values: list[int]) -> int | None:
     return None
 
 
-def _leading_y_coefficients(P, Q, p: int | None = None) -> list[dict[int, int]]:
-    """lc_y of P and Q as x-polynomials, for those of positive y-degree.
-
-    With a modulus ``p`` the coefficients are reduced mod p and zero terms
-    dropped, so an empty dict is a coefficient that vanishes identically.
-    """
-    lcs = [_lc_y_poly(R) for R in (P, Q) if R.degree_in("y") > 0]
-    if p is None:
-        return lcs
-    return [{i: c % p for i, c in lc.items() if c % p} for lc in lcs]
-
-
 def _sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
     """The first ``count`` integers t >= 1 where no leading y-coefficient vanishes.
 
-    With a modulus ``p`` the test is vanishing mod p, so the y-degrees of
-    both polynomials survive reduction at every chosen point; it reads each
-    coefficient at t from powers of t mod p, never the exact value.  The
-    caller makes sure no coefficient vanishes identically mod p, or the
-    search would never end.
+    P and Q are y-layers; a partial of y-degree 0 is its own leading
+    coefficient.  With a modulus ``p`` the test is vanishing mod p, so the
+    y-degrees of both polynomials survive reduction at every chosen point;
+    it reads each coefficient at t from powers of t mod p, never the exact
+    value.  The caller makes sure no coefficient vanishes identically mod p,
+    or the search would never end.
     """
+    lcs = [[(i, c % p if p else c) for i, c in L[max(L)].items()] for L in (P, Q)]
     pts: list[int] = []
     t = 1
-    if p is None:
-        lcs = _leading_y_coefficients(P, Q)
-        while len(pts) < count:
-            if all(_eval_int_poly(lc, t) for lc in lcs):
-                pts.append(t)
-            t += 1
-        return pts
-    lcs = [list(lc.items()) for lc in _leading_y_coefficients(P, Q, p)]
     while len(pts) < count:
-        if all(sum(c * pow(t, i, p) for i, c in lc) % p for lc in lcs):
+        if all(
+            sum(c * pow(t, i, p) for i, c in lc) % p if p else sum(c * t**i for i, c in lc)
+            for lc in lcs
+        ):
             pts.append(t)
         t += 1
     return pts
 
 
-def _exact_valuation(P, Q, count: int) -> int | None:
-    pts = _sample_points(P, Q, count)
-    return _interp_valuation_exact(pts, _exact_resultant_values(P, Q, pts))
-
-
-def _modular_interpolant(P, Q, count: int, p: int) -> np.ndarray:
-    """Coefficients mod p of the interpolant of Res_y(P, Q) through ``count`` points."""
-    import numpy as np
-
-    py, qy = P.degree_in("y"), Q.degree_in("y")
-    pts = _sample_points(P, Q, count, p)
-    pts_arr = np.array(pts, dtype=np.int64)
-    pmat = np.array([[c % p for c in row] for row in _dense_y_matrix(P)], dtype=np.int64)
-    qmat = np.array([[c % p for c in row] for row in _dense_y_matrix(Q)], dtype=np.int64)
-    if py == 0 and qy == 0:
-        vals = np.ones(len(pts), dtype=np.int64)
-    elif py == 0:
-        base = eval_x_batch(pmat, pts_arr, p)[0]
-        vals = np.array([pow(int(v), qy, p) for v in base], dtype=np.int64)
-    elif qy == 0:
-        base = eval_x_batch(qmat, pts_arr, p)[0]
-        vals = np.array([pow(int(v), py, p) for v in base], dtype=np.int64)
-    else:
-        fv = eval_x_batch(pmat, pts_arr, p)
-        gv = eval_x_batch(qmat, pts_arr, p)
-        vals = resultant_batch(fv, gv, p)
-    return interpolate_monomial(pts_arr, vals, p)
-
-
 def _modular_valuation(P, Q, count: int, p: int) -> int | None:
+    """x-valuation of the interpolant of Res_y(P, Q) mod p through ``count`` points."""
     import numpy as np
 
-    nz = np.nonzero(_modular_interpolant(P, Q, count, p))[0]
+    pts = np.array(_sample_points(P, Q, count, p), dtype=np.int64)
+    tables = []
+    for L in (P, Q):
+        mat = np.zeros((max(L) + 1, max(map(max, L.values())) + 1), dtype=np.int64)
+        for j, row in L.items():
+            mat[j, list(row)] = [c % p for c in row.values()]
+        tables.append(eval_x_batch(mat, pts, p))
+    nz = np.nonzero(interpolate_monomial(pts, resultant_batch(*tables, p), p))[0]
     return int(nz[0]) if nz.size else None
 
 
@@ -391,6 +313,13 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     origin: on (2 + y)^3*(y^2 - x^4), mu = 3, every shear keeps the common
     factor 2 + y, which meets x = 0 at y = -2.  Fulton's algorithm and the
     local algebra answer there.
+
+    Each sheared partial is read once as integer y-layers.  The sample
+    points avoid the zeros of the leading y-coefficient of every partial,
+    y-degree 0 included, where the whole partial is that coefficient; so
+    the Sylvester determinant, or its Euclidean recurrence mod p, sees the
+    full y-degrees at every point, and a partial of y-degree 0 needs no
+    special case: its resultant with one of y-degree q is its q-th power.
 
     The resultant is interpolated through deg_x Res + 1 sample points, with
 
@@ -410,37 +339,31 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     if arithmetic not in ("auto", "exact", "modular"):
         raise InvalidInput(f"unknown arithmetic {arithmetic!r}")
     _require_no_constant(f)
-    fx, fy = f.diff("x"), f.diff("y")
-    if fx.is_zero and fy.is_zero:
+    X, Y = _integer_terms(f.diff("x")), _integer_terms(f.diff("y"))
+    if not X and not Y:
         raise NonIsolated("the gradient vanishes identically")
-    if fx.is_zero or fy.is_zero:
-        g = fy if fx.is_zero else fx
-        if g.coefficient(0, 0) != 0:
+    if not X or not Y:
+        if (0, 0) in (X or Y):
             return MilnorReport(0, RESULTANT_METHOD, 0, "exact")
         raise NonIsolated("the critical locus contains a curve through the origin")
-    for var in ("x", "y"):
-        if all(m[0 if var == "x" else 1] >= 1 for m, _ in fx.terms()) and all(
-            m[0 if var == "x" else 1] >= 1 for m, _ in fy.terms()
-        ):
+    for axis, var in enumerate("xy"):
+        if all(m[axis] for m in X) and all(m[axis] for m in Y):
             raise NonIsolated(f"the {var} = 0 axis lies in the critical locus")
 
     xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
     for t in _SHEARS:
-        if t == 0:
-            P, Q = _scale_integer(fx), _scale_integer(fy)
-        else:
+        if t:  # the identity shear reads the partials above
             g = f.compose(xv + yv.scale(t), yv)
-            P, Q = _scale_integer(g.diff("x")), _scale_integer(g.diff("y"))
-        py, qy = P.degree_in("y"), Q.degree_in("y")
-        if py > 0 and _lc_y_poly(P).get(0, 0) == 0:
+            X, Y = _integer_terms(g.diff("x")), _integer_terms(g.diff("y"))
+        P, Q = _y_layers(X), _y_layers(Y)
+        # A shear along which f is constant leaves f_y = 0 and is not admissible.
+        if not Q or any(max(L) and 0 not in L[max(L)] for L in (P, Q)):
             continue
-        if qy > 0 and _lc_y_poly(Q).get(0, 0) == 0:
+        if not _is_monomial_univ(_gcd_univariate(_restriction_y(P), _restriction_y(Q))):
             continue
-        gcd0 = _gcd_univariate(_restriction_y(P), _restriction_y(Q))
-        if not _is_monomial_univ(gcd0):
-            continue
-        bound = qy * P.degree_in("x") + py * Q.degree_in("x")
-        count = min(bound, qy * P.total_degree + py * Q.total_degree - py * qy) + 1
+        (mx, py, m), (nx, qy, n) = _degrees(X), _degrees(Y)
+        bound = qy * mx + py * nx
+        count = min(bound, qy * m + py * n - py * qy) + 1
         mode = arithmetic
         if mode == "auto":
             mode = "exact" if bound <= _EXACT_RESULTANT_LIMIT else "modular"
@@ -450,12 +373,20 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
             # A prime that divides a leading y-coefficient outright leaves no
             # sample point, so it cannot witness; nor can two primes that
             # disagree.  Both cases take the exact path.
-            if all(all(_leading_y_coefficients(P, Q, p)) for p in (p1, p2)):
+            if all(any(c % p for c in L[max(L)].values()) for p in (p1, p2) for L in (P, Q)):
                 v1 = _modular_valuation(P, Q, count, p1)
                 if v1 == _modular_valuation(P, Q, count, p2):
                     val, arith_used = v1, f"two-prime-modular({p1},{p2})"
         if arith_used == "exact":
-            val = _exact_valuation(P, Q, count)
+            pts = _sample_points(P, Q, count)
+            values = []
+            for a in pts:
+                pv, qv = (
+                    [sum(c * a**i for i, c in L.get(j, {}).items()) for j in range(max(L) + 1)]
+                    for L in (P, Q)
+                )
+                values.append(det_bareiss(sylvester_matrix(pv, qv)))
+            val = _interp_valuation_exact(pts, values)
         if val is None:
             raise NonIsolated("the partials share a factor: resultant is identically zero")
         return MilnorReport(val, RESULTANT_METHOD, val, arith_used)
@@ -463,10 +394,6 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
 
 
 # -- Fulton's intersection-multiplicity oracle ------------------------------
-
-
-def _integer_terms(p: SparsePoly) -> dict[tuple[int, int], int]:
-    return {(m.ex, m.ey): int(c) for m, c in _scale_integer(p).terms()}
 
 
 def milnor_fulton(f: SparsePoly) -> MilnorReport:

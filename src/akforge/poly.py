@@ -375,6 +375,12 @@ _NUM, _VAR, _OP, _LPAR, _RPAR, _END = range(6)
 # 284,000, and (1 + x + y)^100000 is refused within its first squarings.
 EXPANSION_BUDGET = 10**5
 
+# Bits that one power c^e of a number may cost, counted as e times the bits
+# of c's numerator and denominator; past it the text is InvalidInput.  0, 1
+# and -1 cost nothing, so x^1000000000000 parses.  10^4 bits is about 3,000
+# decimal digits, below the 4,300 that Python prints by default.
+LITERAL_POWER_BITS = 10**4
+
 
 # One token after optional whitespace; the groups are a number with an
 # optional denominator, a variable, an operator, '(', ')' and any other
@@ -513,9 +519,19 @@ class _Parser:
                 self.fail("exponent must be an integer literal")
             self.advance()
             e = val
+            if isinstance(node, SparsePoly) and len(node) == 1:
+                # a single term, such as (3*x), is raised as a monomial value
+                ((ex, ey), c), = node._terms.items()
+                node = (c, ex, ey)
             if isinstance(node, SparsePoly):
                 return _power(node, e, self.product)
             c, ex, ey = node
+            if c not in (0, 1, -1):
+                bits = e * (abs(c.numerator).bit_length() + c.denominator.bit_length())
+                if bits > LITERAL_POWER_BITS:
+                    raise InvalidInput(
+                        f"a number to the power {e} passes {LITERAL_POWER_BITS} bits"
+                    )
             return (c**e, ex * e, ey * e)
         return node
 

@@ -191,6 +191,22 @@ def test_milnor_runs_fulton_first(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("text", ["3^100000000000*x + y^2", "(3)^100000000000"])
+def test_certify_literal_power_past_the_bit_budget_exit_2(text):
+    # 3^100000000000 would need an integer of about 20 GB
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "akforge", "certify", "--poly", text],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=20,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and "bits" in proc.stderr
+
+
 def test_milnor_falls_back_past_the_fulton_budget(capsys):
     # Fulton's polynomials outgrow the term budget on this dense A_8 germ
     code, out, _ = run(capsys, "milnor", "--poly", "(2*y + x^2)^2 + (x + 2*y + x*y^2)^9")

@@ -81,6 +81,16 @@ def test_milnor_number_rational_coefficients():
     assert milnor_number(parse_poly("1/2*x^2 + 1/5*y^3")).mu == 2
 
 
+def test_oracles_scale_a_partial_by_the_lcm_of_its_denominators():
+    # f_x = x + 1/3*y^2 and f_y = 2/3*x*y + 2/5*y^3: scaled term by term
+    # with one factor instead, they would share the factor x + y^2
+    f = parse_poly("1/2*x^2 + 1/3*x*y^2 + 1/10*y^4")
+    assert milnor_number(f).mu == 3
+    assert milnor_fulton(f).mu == 3
+    for arithmetic in ("exact", "modular"):
+        assert milnor_resultant(f, arithmetic=arithmetic).mu == 3
+
+
 @pytest.mark.parametrize("text", ["x^2", "(y-x^2)^2", "x^2*y^2"])
 def test_milnor_number_non_isolated_past_bezout(text):
     # D(M) <= mu <= (d-1)^2 for an isolated point; D past it is a proof
@@ -140,11 +150,26 @@ def test_member_s2_modular_resultant():
     assert milnor_fulton(F2).mu == 2260
 
 
-def test_resultant_degree_within_total_degree_bound():
+def test_resultant_degree_within_total_degree_bound(monkeypatch):
     # deg_x Res_y(P, Q) <= qy*m + py*n - py*qy (m, n total degrees), checked
     # on an interpolant through the count the x-degrees alone give, which is
     # never smaller.  The exact valuation does not depend on which count is used.
     (p,) = primes_from_seed(1)
+    interpolate, sample_points = milnor_mod.interpolate_monomial, milnor_mod._sample_points
+    interpolants, widen = [], []
+
+    def keep(*args):
+        interpolants.append(interpolate(*args))
+        return interpolants[-1]
+
+    def sample(P, Q, count, p=None):
+        if widen:  # the count from the x-degrees alone
+            (py, px), (qy, qx) = ((max(L), max(map(max, L.values()))) for L in (P, Q))
+            count = qy * px + py * qx + 1
+        return sample_points(P, Q, count, p)
+
+    monkeypatch.setattr(milnor_mod, "interpolate_monomial", keep)
+    monkeypatch.setattr(milnor_mod, "_sample_points", sample)
     xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
     germs = [build_F(0).F, build_F(1).F]
     germs += [f for k, f in _random_changes(random.Random(6336), 110, 15) if k <= 8]
@@ -157,17 +182,21 @@ def test_resultant_degree_within_total_degree_bound():
                 shears.append(t)
         for t in shears:
             g = f.compose(xv + yv.scale(t), yv)
-            P = milnor_mod._scale_integer(g.diff("x"))
-            Q = milnor_mod._scale_integer(g.diff("y"))
-            py, qy = P.degree_in("y"), Q.degree_in("y")
-            old = qy * P.degree_in("x") + py * Q.degree_in("x")
-            sharp = qy * P.total_degree + py * Q.total_degree - py * qy
-            top = np.nonzero(milnor_mod._modular_interpolant(P, Q, old + 1, p))[0]
+            X = milnor_mod._integer_terms(g.diff("x"))
+            Y = milnor_mod._integer_terms(g.diff("y"))
+            (mx, py, m), (nx, qy, n) = milnor_mod._degrees(X), milnor_mod._degrees(Y)
+            old = qy * mx + py * nx
+            sharp = qy * m + py * n - py * qy
+            P, Q = milnor_mod._y_layers(X), milnor_mod._y_layers(Y)
+            milnor_mod._modular_valuation(P, Q, old + 1, p)
+            top = np.nonzero(interpolants.pop())[0]
             assert top.size == 0 or top[-1] <= sharp, (i, t)
             sharper += sharp < old
             if t == 0 and old <= 100:
-                want = milnor_mod._exact_valuation(P, Q, old + 1)
-                assert milnor_mod._exact_valuation(P, Q, min(old, sharp) + 1) == want
+                want = milnor_resultant(f, arithmetic="exact")
+                widen.append(True)
+                assert milnor_resultant(f, arithmetic="exact") == want
+                widen.clear()
     assert sharper >= 100
 
 
@@ -178,6 +207,39 @@ def test_modular_resultant_takes_the_exact_path_when_a_prime_kills_a_leading_coe
     r = milnor_resultant(parse_poly(f"x^2 + {p1}*y^3"), arithmetic="modular")
     assert time.perf_counter() - t0 < 1.0
     assert r == MilnorReport(2, "resultant", 2, "exact")
+
+
+@pytest.mark.parametrize(
+    "text, mu",
+    [
+        ("y^2 + x^3", 2),  # f_x = 3*x^2 has y-degree 0
+        ("x^2 + y^5", 4),  # so has f_x = 2*x
+        ("y^2 + x^3 - 3*x^2", 1),  # f_x = 3*x*(x - 2) vanishes at the point 2
+        ("y + x^2", 0),  # and f_y = 1 is a unit
+    ],
+)
+def test_resultant_reports_with_a_partial_of_y_degree_0(text, mu):
+    f = parse_poly(text)
+    modular = "two-prime-modular({},{})".format(*primes_from_seed(2))
+    for arithmetic, label in (("exact", "exact"), ("modular", modular), ("auto", "exact")):
+        assert milnor_resultant(f, arithmetic=arithmetic) == MilnorReport(
+            mu, "resultant", mu, label
+        )
+
+
+def test_modular_resultant_takes_the_exact_path_when_both_primes_divide_a_partial():
+    # f_x = 2*p1*p2*x vanishes mod both primes; no sample point avoids it
+    p1, p2 = primes_from_seed(2)
+    r = milnor_resultant(parse_poly(f"{p1 * p2}*x^2 + y^3"), arithmetic="modular")
+    assert r == MilnorReport(2, "resultant", 2, "exact")
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "modular", "auto"])
+def test_resultant_skips_a_shear_that_kills_f_y(arithmetic):
+    # f = u + u^2 with u = x - 50*y is constant along the shear t = 50, so
+    # there f_y = 0; the other shears keep the non-monomial gcd 1 + 2*u(0, y)
+    with pytest.raises(GenericityFailure):
+        milnor_resultant(parse_poly("(x - 50*y) + (x - 50*y)^2"), arithmetic=arithmetic)
 
 
 def _interp_valuation_fraction(points: list[int], values: list[int]) -> int | None:
@@ -237,10 +299,10 @@ def test_exact_interpolation_rejects_values_from_no_integer_polynomial():
 
 def _big_integer_sample_points(P, Q, count: int, p: int) -> list[int]:
     """Reference: the test on exact values that _sample_points replaced."""
-    lcs = [milnor_mod._lc_y_poly(R) for R in (P, Q) if R.degree_in("y") > 0]
+    lcs = [L[max(L)] for L in (P, Q)]
     pts, t = [], 1
     while len(pts) < count:
-        if all(milnor_mod._eval_int_poly(lc, t) % p for lc in lcs):
+        if all(sum(c * t**i for i, c in lc.items()) % p for lc in lcs):
             pts.append(t)
         t += 1
     return pts
@@ -262,7 +324,10 @@ def test_modular_sample_points_match_the_big_integer_test(monkeypatch):
         pts = milnor_mod._sample_points(P, Q, count, p)
         assert pts == _big_integer_sample_points(P, Q, count, p)
         # leading y-coefficients that vanish at t = 3 mod p only, and at t = 7
-        P2, Q2 = parse_poly(f"(x + {p - 3})*y^2 + x"), parse_poly("(x - 7)*y + 1")
+        P2, Q2 = (
+            milnor_mod._y_layers(milnor_mod._integer_terms(parse_poly(text)))
+            for text in (f"(x + {p - 3})*y^2 + x", "(x - 7)*y + 1")
+        )
         pts = milnor_mod._sample_points(P2, Q2, 20, p)
         assert pts == _big_integer_sample_points(P2, Q2, 20, p)
         assert pts[:8] == [1, 2, 4, 5, 6, 8, 9, 10]

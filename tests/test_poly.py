@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 from akforge.errors import InvalidInput, NegativeExponent, PolySyntaxError
-from akforge.poly import EXPANSION_BUDGET, Monomial, SparsePoly, format_rational, parse_poly
+from akforge.poly import (
+    EXPANSION_BUDGET,
+    LITERAL_POWER_BITS,
+    Monomial,
+    SparsePoly,
+    format_rational,
+    parse_poly,
+)
 
 
 def rand_poly(rng: random.Random, max_deg: int = 5, nterms: int = 6) -> SparsePoly:
@@ -275,6 +282,26 @@ def test_parse_expansion_budget():
         "(1 + x + y)^40 + (1 - x + y)^40",
     ):
         with pytest.raises(InvalidInput, match=str(EXPANSION_BUDGET)):
+            parse_poly(text)
+
+
+def test_parse_literal_power_budget():
+    # 0, 1 and -1 cost nothing; any other number costs its bits times e
+    assert parse_poly("x^1000000000000 + (-1)^1000000000001*y") == SparsePoly(
+        {(1000000000000, 0): 1, (0, 1): -1}
+    )
+    assert parse_poly("0^1000000000000 + 1^1000000000000") == SparsePoly({(0, 0): 1})
+    assert parse_poly("(2*x)^3333") == SparsePoly({(3333, 0): 2**3333})  # 9,999 bits
+    assert parse_poly("(1/2)^3333*y") == SparsePoly({(0, 1): Fraction(1, 2**3333)})
+    for text in (
+        "(2*x)^3334",
+        "(2/3)^2501",  # 10,004 bits
+        "((7)^1000)^1000",
+        "3^100000000000*x + y^2",
+        "(3)^100000000000",
+        "(3*x)^100000000000",
+    ):
+        with pytest.raises(InvalidInput, match=f"passes {LITERAL_POWER_BITS} bits"):
             parse_poly(text)
 
 
