@@ -9,7 +9,10 @@ s = 0..3 and, inside it, the oracle's layers: choosing the sample points
 every point (``resultant_batch``) and interpolation
 (``interpolate_monomial``).  The layers are timed by wrapping those names in
 ``akforge.milnor``, so the script runs unchanged against any checkout that
-has them.  Each s runs up to three times, stopping once 10 s have been
+has them.  Each member also records, per sheared partial, its number of
+terms next to the cells of its dense (y-degree + 1) x (x-degree + 1)
+coefficient matrix: the work of a sparse and of a dense evaluation per
+sample point.  Each s runs up to three times, stopping once 10 s have been
 spent on it; the median run is reported.  The record, with the environment,
 the reports and the largest s finished within 1 s and within 10 s, is stored
 under ``runs[<label>]`` of ``benchmarks/BENCH_resultant.json``; records under
@@ -35,10 +38,19 @@ BUDGETS_S = (1.0, 10.0)
 OUT = Path(__file__).resolve().parent / "BENCH_resultant.json"
 
 
+def partial_sizes(L: dict[int, dict[int, int]]) -> dict:
+    """Terms of one partial's y-layers {j: {i: c}} and cells of its dense matrix."""
+    return {
+        "terms": sum(map(len, L.values())),
+        "dense_cells": (max(L) + 1) * (max(map(max, L.values())) + 1),
+    }
+
+
 def timed_run(F) -> dict:
-    """One oracle call with every layer wrapped; returns times and point counts."""
+    """One oracle call with every layer wrapped; returns times, point counts and sizes."""
     spent: dict[str, float] = defaultdict(float)
     points: list[int] = []
+    sizes: list[dict] = []
     originals = {name: getattr(milnor, name) for name in LAYERS}
 
     def wrap(name, fn):
@@ -48,6 +60,7 @@ def timed_run(F) -> dict:
             spent[name] += time.perf_counter() - t0
             if name == "_sample_points":
                 points.append(len(out))
+                sizes[:] = [partial_sizes(L) for L in args[:2]]
             return out
 
         return inner
@@ -68,6 +81,7 @@ def timed_run(F) -> dict:
         "layers_s": layers,
         "other_s": round(total - sum(spent.values()), 4),
         "points_per_call": points,
+        "partials": sizes,
     }
 
 

@@ -7,11 +7,14 @@ when set, else from DEFAULT_PRIME_SEED, which makes every modular result
 reproducible byte for byte.
 
 Every kernel is plain numpy over int64 residues.  The resultant oracle's
-modular path uses three: Horner evaluation of the x-variable at many sample
-points (eval_x_batch), the univariate Euclidean resultant at every point at
-once (resultant_batch: one numpy remainder step per group of points that
-share a degree sequence) and Newton interpolation (interpolate_monomial,
-whose table of difference inverses is one vectorised powmod over 0..span).
+modular path uses three: evaluation of sparse y-layers at many sample
+points (eval_x_batch: one product per term and point, against one running
+power of the points), the univariate Euclidean resultant at every
+point at once (resultant_batch: one numpy remainder step per group of
+points that share a degree sequence) and Newton interpolation
+(interpolate_monomial: O(n^2) divided differences, whose table of
+difference inverses is one vectorised powmod over 0..span, then an O(n^2)
+expansion to the monomial basis inside one preallocated array).
 The dense row elimination rank_profile_mod_p has no caller in the package;
 perfbench still traces it under that name.  numpy is imported inside each
 kernel, so importing this module, and with it the package, does not load
@@ -122,21 +125,37 @@ def rank_profile_mod_p(mat: np.ndarray, p: int) -> list[int]:
 
 # -- batched univariate resultants over GF(p) ------------------------------
 #
-# A bivariate integer polynomial enters as a dense int64 matrix C[b, i]:
-# the coefficient of y^b x^i.  Evaluating the x-variable at many sample
-# points turns Res_y into one univariate Euclidean resultant per point.
+# A bivariate integer polynomial enters as y-layers {j: {i: c}}: the
+# coefficient c of y^j x^i, one dict per y-exponent that has terms.
+# Evaluating the x-variable at many sample points turns Res_y into one
+# univariate Euclidean resultant per point.
 
 
-def eval_x_batch(c_mat: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
-    """Horner-evaluate every y-layer at every sample point, mod p."""
+def eval_x_batch(layers: dict[int, dict[int, int]], points: np.ndarray, p: int) -> np.ndarray:
+    """Value table of y-layers {j: {i: c}} at every sample point, mod p.
+
+    Row j, column t holds sum (c mod p) * t^i mod p over the terms of layer
+    j alone; a y-exponent with no terms gives a zero row.  The terms are
+    visited by increasing x-exponent i, with one running power t^i mod p
+    advanced by one product per exponent, so no table of powers is kept.
+    Each step adds a product of two residues to a residue,
+    (p-1)^2 + (p-1) < 2^63, so it stays inside int64.
+    """
     import numpy as np
 
-    c = np.asarray(c_mat, dtype=np.int64) % p
     t = np.asarray(points, dtype=np.int64) % p
-    nb, nx = c.shape
-    out = np.zeros((nb, t.size), dtype=np.int64)
-    for i in range(nx - 1, -1, -1):
-        out = (out * t[None, :] + c[:, i][:, None]) % p
+    by_x: dict[int, list[tuple[int, int]]] = {}
+    for j, row in layers.items():
+        for i, c in row.items():
+            by_x.setdefault(i, []).append((j, c % p))
+    out = np.zeros((max(layers) + 1, t.size), dtype=np.int64)
+    power = np.ones(t.size, dtype=np.int64)
+    for i in range(max(by_x) + 1):
+        for j, c in by_x.get(i, ()):
+            out[j] += c * power
+            out[j] %= p
+        power *= t
+        power %= p
     return out
 
 
@@ -218,30 +237,34 @@ def resultant_batch(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
 def interpolate_monomial(points: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
     """Coefficients (low degree first) of the interpolating polynomial mod p.
 
-    Newton divided differences, then expansion to the monomial basis.  The
-    sample points must be distinct small non-negative integers; difference
-    inverses are served from one table, built by one vectorised powmod.
+    One coefficient per sample point.  Newton divided differences, then
+    expansion to the monomial basis.  The sample points must be increasing
+    small non-negative integers; difference inverses are served from one
+    table, built by one vectorised powmod.  A divided-difference step takes
+    one remainder: the difference of two residues lies in (-p, p) and the
+    inverse below p, so their product fits in int64.  The Newton form is
+    expanded by Horner's rule inside one preallocated array, with one
+    array for the products, so no expansion step allocates.
     """
     import numpy as np
 
     x = np.asarray(points, dtype=np.int64)
-    coef = (np.asarray(values, dtype=np.int64) % p).copy()
+    coef = np.asarray(values, dtype=np.int64) % p
     n = x.size
     span = int(x.max() - x.min()) if n else 0
     # Fermat inverses of 0..span in one vectorised powmod; 0 maps to 0.
     inv_table = _powmod(np.arange(span + 1, dtype=np.int64), p - 2, p)
     for j in range(1, n):
-        diff = x[j:] - x[:-j]
-        coef[j:] = (coef[j:] - coef[j - 1 : -1]) % p * inv_table[diff] % p
-    # Horner expansion: poly = (...((c_{n-1})(X - x_{n-2}) + c_{n-2})...).
+        coef[j:] = (coef[j:] - coef[j - 1 : -1]) * inv_table[x[j:] - x[:-j]] % p
+    # Horner: poly <- poly * (X - x_j) + c_j for j = n-2 .. 0, where out[:deg + 1]
+    # holds poly, so out[k] <- out[k-1] - x_j * out[k], then out[0] gets c_j.
     out = np.zeros(n, dtype=np.int64)
+    prods = np.empty(n, dtype=np.int64)
     out[0] = coef[n - 1]
-    deg = 0
-    for j in range(n - 2, -1, -1):
-        shifted = np.zeros(n, dtype=np.int64)
-        shifted[1 : deg + 2] = out[: deg + 1]
-        shifted[: deg + 1] = (shifted[: deg + 1] - int(x[j]) * out[: deg + 1]) % p
-        deg += 1
-        shifted[0] = (shifted[0] + coef[j]) % p
-        out = shifted
-    return out % p
+    for deg, j in enumerate(range(n - 2, -1, -1)):
+        xj = int(x[j])
+        step = np.multiply(out[1 : deg + 2], -xj, out=prods[: deg + 1])
+        step += out[: deg + 1]
+        np.remainder(step, p, out=out[1 : deg + 2])
+        out[0] = (coef[j] - xj * out[0]) % p
+    return out

@@ -287,24 +287,23 @@ def _sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
 
 
 def _modular_valuation(P, Q, count: int, p: int) -> int | None:
-    """x-valuation of the interpolant of Res_y(P, Q) mod p through ``count`` points."""
+    """x-valuation of the interpolant of Res_y(P, Q) mod p through ``count`` points.
+
+    eval_x_batch reads the y-layers P and Q term by term, as they are."""
     import numpy as np
 
     pts = np.array(_sample_points(P, Q, count, p), dtype=np.int64)
-    tables = []
-    for L in (P, Q):
-        mat = np.zeros((max(L) + 1, max(map(max, L.values())) + 1), dtype=np.int64)
-        for j, row in L.items():
-            mat[j, list(row)] = [c % p for c in row.values()]
-        tables.append(eval_x_batch(mat, pts, p))
-    nz = np.nonzero(interpolate_monomial(pts, resultant_batch(*tables, p), p))[0]
+    values = resultant_batch(eval_x_batch(P, pts, p), eval_x_batch(Q, pts, p), p)
+    nz = np.nonzero(interpolate_monomial(pts, values, p))[0]
     return int(nz[0]) if nz.size else None
 
 
 def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport:
     """Milnor number as the x-valuation of Res_y of the two partials.
 
-    Tries the shears (x, y) -> (x + t*y, y) for t in _SHEARS, the identity
+    A partial with a nonzero constant term makes the origin a smooth point,
+    so mu = 0 is reported, exactly, before any shear.  Otherwise it tries
+    the shears (x, y) -> (x + t*y, y) for t in _SHEARS, the identity
     first, until the genericity conditions hold: other critical points stay
     off the line x = 0 and neither partial drops y-degree there.  Past the
     last shear it raises GenericityFailure, with no answer rather than a
@@ -340,11 +339,11 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
         raise InvalidInput(f"unknown arithmetic {arithmetic!r}")
     _require_no_constant(f)
     X, Y = _integer_terms(f.diff("x")), _integer_terms(f.diff("y"))
+    if (0, 0) in X or (0, 0) in Y:
+        return MilnorReport(0, RESULTANT_METHOD, 0, "exact")
     if not X and not Y:
         raise NonIsolated("the gradient vanishes identically")
     if not X or not Y:
-        if (0, 0) in (X or Y):
-            return MilnorReport(0, RESULTANT_METHOD, 0, "exact")
         raise NonIsolated("the critical locus contains a curve through the origin")
     for axis, var in enumerate("xy"):
         if all(m[axis] for m in X) and all(m[axis] for m in Y):

@@ -161,9 +161,9 @@ def test_rank_profile_mod_p_matches_exact():
 def test_eval_x_batch():
     (p,) = primes_from_seed(1, seed=6)
     # f = (3 + x + 2x^2) + y*(5x) + y^2*(1)
-    c = np.array([[3, 1, 2], [0, 5, 0], [1, 0, 0]], dtype=np.int64)
+    layers = {0: {0: 3, 1: 1, 2: 2}, 1: {1: 5}, 2: {0: 1}}
     pts = np.array([0, 1, 2, 10], dtype=np.int64)
-    vals = eval_x_batch(c, pts, p)
+    vals = eval_x_batch(layers, pts, p)
     for col, t in enumerate(pts):
         assert vals[0, col] == (3 + t + 2 * t * t) % p
         assert vals[1, col] == 5 * t % p
@@ -360,6 +360,75 @@ def test_resultant_batch_property_matches_sylvester(columns):
             want.append(det_bareiss(sylvester_matrix(a, b)) % p)
             assert kind != "root" or want[-1] == 0
     assert resultant_batch(fv, gv, p).tolist() == want
+
+
+def eval_dense_horner(layers: dict[int, dict[int, int]], points: list[int], p: int) -> list[list[int]]:
+    """Reference: Horner over every cell of the dense (y-degree + 1, x-degree + 1) matrix."""
+    nx = max(max(row) for row in layers.values()) + 1
+    table = []
+    for j in range(max(layers) + 1):
+        row = layers.get(j, {})
+        vals = []
+        for t in points:
+            acc = 0
+            for i in range(nx - 1, -1, -1):
+                acc = (acc * t + row.get(i, 0)) % p
+            vals.append(acc)
+        table.append(vals)
+    return table
+
+
+@st.composite
+def y_layer_inputs(draw):
+    """y-layers with gaps in both exponents, negative coefficients and
+    coefficients that vanish mod p, and sample points that may pass p."""
+    p = KERNEL_PRIME
+    coeff = st.one_of(
+        st.integers(-(10**30), 10**30),
+        st.integers(-3, 3).map(lambda k: k * p),
+        st.tuples(st.integers(-2, 2), st.integers(-5, 5)).map(lambda kr: kr[0] * p + kr[1]),
+    )
+    ys = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True))
+    layers = {
+        j: draw(st.dictionaries(st.integers(0, 40), coeff, min_size=1, max_size=6)) for j in ys
+    }
+    points = draw(
+        st.lists(
+            st.one_of(st.integers(0, 200), st.integers(p - 3, 3 * p)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return layers, points
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(y_layer_inputs())
+def test_eval_x_batch_property_matches_dense_horner(case):
+    layers, points = case
+    p = KERNEL_PRIME
+    got = eval_x_batch(layers, np.array(points, dtype=np.int64), p)
+    assert got.tolist() == eval_dense_horner(layers, points, p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.integers(0, 60).flatmap(
+        lambda deg: st.tuples(
+            st.lists(st.integers(-(10**20), 10**20), min_size=deg + 1, max_size=deg + 1),
+            st.lists(st.integers(0, 400), min_size=deg + 1, max_size=deg + 1, unique=True).map(
+                sorted
+            ),
+        )
+    )
+)
+def test_interpolate_monomial_property_recovers_polynomial(case):
+    # Increasing points with gaps of any width; any degree up to 60.
+    coeffs, pts = case
+    p = KERNEL_PRIME
+    vals = [sum(c * t**i for i, c in enumerate(coeffs)) % p for t in pts]
+    got = interpolate_monomial(np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64), p)
+    assert got.tolist() == [c % p for c in coeffs]
 
 
 def test_interpolate_monomial():

@@ -216,11 +216,14 @@ def test_modular_resultant_takes_the_exact_path_when_a_prime_kills_a_leading_coe
         ("x^2 + y^5", 4),  # so has f_x = 2*x
         ("y^2 + x^3 - 3*x^2", 1),  # f_x = 3*x*(x - 2) vanishes at the point 2
         ("y + x^2", 0),  # and f_y = 1 is a unit
+        ("x + y^3", 0),  # as is f_x = 1
     ],
 )
 def test_resultant_reports_with_a_partial_of_y_degree_0(text, mu):
     f = parse_poly(text)
     modular = "two-prime-modular({},{})".format(*primes_from_seed(2))
+    if mu == 0:  # a partial with a constant term decides mu = 0 before any shear
+        modular = "exact"
     for arithmetic, label in (("exact", "exact"), ("modular", modular), ("auto", "exact")):
         assert milnor_resultant(f, arithmetic=arithmetic) == MilnorReport(
             mu, "resultant", mu, label
@@ -236,10 +239,19 @@ def test_modular_resultant_takes_the_exact_path_when_both_primes_divide_a_partia
 
 @pytest.mark.parametrize("arithmetic", ["exact", "modular", "auto"])
 def test_resultant_skips_a_shear_that_kills_f_y(arithmetic):
-    # f = u + u^2 with u = x - 50*y is constant along the shear t = 50, so
-    # there f_y = 0; the other shears keep the non-monomial gcd 1 + 2*u(0, y)
+    # f = u^2 + u^3 with u = x - 50*y is constant along the shear t = 50, so
+    # there f_y = 0; the other shears keep the non-monomial gcd
+    # u(0, y)*(2 + 3*u(0, y)) of the restrictions: f is critical along u = 0
     with pytest.raises(GenericityFailure):
-        milnor_resultant(parse_poly("(x - 50*y) + (x - 50*y)^2"), arithmetic=arithmetic)
+        milnor_resultant(parse_poly("(x - 50*y)^2 + (x - 50*y)^3"), arithmetic=arithmetic)
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "modular", "auto"])
+def test_resultant_smooth_germ_constant_along_a_shear(arithmetic):
+    # f = u + u^2 with u = x - 50*y: f_x(0, 0) = 1, so mu = 0 before any
+    # shear, although every shear fails the genericity conditions
+    f = parse_poly("(x - 50*y) + (x - 50*y)^2")
+    assert milnor_resultant(f, arithmetic=arithmetic) == MilnorReport(0, "resultant", 0, "exact")
 
 
 def _interp_valuation_fraction(points: list[int], values: list[int]) -> int | None:
