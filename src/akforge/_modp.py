@@ -10,11 +10,13 @@ Every kernel is plain numpy over int64 residues.  The resultant oracle's
 modular path uses three: evaluation of sparse y-layers at many sample
 points (eval_x_batch: one product per term and point, against one running
 power of the points), the univariate Euclidean resultant at every
-point at once (resultant_batch: one numpy remainder step per group of
-points that share a degree sequence) and Newton interpolation
-(interpolate_monomial: O(n^2) divided differences, whose table of
-difference inverses is one vectorised powmod over 0..span, then an O(n^2)
-expansion to the monomial basis inside one preallocated array).
+point at once (resultant_batch: division-free pseudo-remainder steps per
+group of points that share a degree sequence, with one inverse per point
+at the end) and Newton interpolation through one run of consecutive
+points (interpolate_monomial: O(n^2) forward differences by plain int64
+subtraction, reduced mod p only every 62 - p.bit_length() steps and
+scaled by 1/j! once, then an O(n^2) expansion to the monomial basis
+inside one preallocated array).
 The dense row elimination rank_profile_mod_p has no caller in the package;
 perfbench still traces it under that name.  numpy is imported inside each
 kernel, so importing this module, and with it the package, does not load
@@ -189,73 +191,113 @@ def resultant_batch(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
     rows are trimmed per column, so the degrees may differ from point to
     point; a column where either polynomial vanishes gives 0.
 
-    The Euclidean resultant recurrence runs on whole groups of columns at
-    once: a group is a set of columns sharing the current degree pair
-    (da, db), stored as a (da + 1, ncols) and a (db + 1, ncols) array with
-    the running resultant factor per column.  One step reduces a modulo b
-    for every column (leading inverses by a vectorized powmod), applies
-    the sign (-1)^(da*db) and lc(b)^(da - dr), and regroups the columns by
-    their remainder degree dr, so a column whose degree sequence departs
-    from the others (a drop by more than one, da < db, a zero remainder)
-    continues in a group of its own.  Every product of two residues, and a
-    residue minus such a product, stays inside int64 because p < isqrt(2^63).
+    The Euclidean resultant recurrence
+
+        Res(a, b) = (-1)^(da*db) * lc(b)^(da - dr) * Res(b, r),  r = a mod b,
+
+    runs on whole groups of columns at once: a group is a set of columns
+    sharing the current degree pair (da, db), stored as a (da + 1, ncols)
+    and a (db + 1, ncols) array.  No level inverts anything.  The remainder
+    is a pseudo-remainder: e = max(da - db + 1, 0) steps of
+    a <- lc(b)*a - a_top*y^k*b leave r' = lc(b)^e * r, and
+    Res(b, r') = lc(b)^(e*db) * Res(b, r), so each column carries a
+    numerator and a denominator, and the level multiplies one of them by
+    lc(b)^|da - dr - e*db|.  Each column's denominator is inverted once, by
+    one vectorised Fermat powmod over all columns at the end.
+
+    When the top row of the remainder is nonzero in every column of the
+    group (dr = db - 1, the generic case), the group goes on with the
+    arrays it has.  Only a group whose columns diverge (a drop by more than
+    one, a zero remainder) pays for a degree scan and splits by dr into
+    groups of their own.  A step forms lc(b)*a - a_top*b from two products
+    of residues, each below p^2 < 2^63, so their difference, and every
+    product here, stays inside int64 because p < isqrt(2^63).
     """
     import numpy as np
 
     fv = np.asarray(fv, dtype=np.int64)
     gv = np.asarray(gv, dtype=np.int64)
-    out = np.zeros(fv.shape[1], dtype=np.int64)
+    num = np.zeros(fv.shape[1], dtype=np.int64)
+    den = np.ones(fv.shape[1], dtype=np.int64)
     dfs, dgs = _degrees(fv), _degrees(gv)
     live = (dfs >= 0) & (dgs >= 0)
     work = []
     for da, db in set(zip(dfs[live].tolist(), dgs[live].tolist())):
         cols = np.nonzero(live & (dfs == da) & (dgs == db))[0]
         ones = np.ones(cols.size, dtype=np.int64)
-        work.append((cols, fv[: da + 1, cols], gv[: db + 1, cols], da, db, ones))
+        work.append((cols, fv[: da + 1, cols], gv[: db + 1, cols], da, db, ones, ones))
     while work:
-        cols, a, b, da, db, res = work.pop()
-        if db == 0:
-            out[cols] = res * _powmod(b[0], da, p) % p
-            continue
-        if da >= db:
-            binv = _powmod(b[db], p - 2, p)
+        cols, a, b, da, db, n, d = work.pop()
+        while db:
+            lc = b[db]
             for top in range(da, db - 1, -1):
-                f = a[top] * binv % p
-                a[top - db : top + 1] = (a[top - db : top + 1] - f * b) % p
-        r = a[:db]
-        drs = _degrees(r)
-        if (da * db) & 1:
-            res = p - res
-        # A zero remainder leaves its columns at 0 in ``out``.
-        for dr in set(drs[drs >= 0].tolist()):
-            sub = drs == dr
-            step = res[sub] * _powmod(b[db, sub], da - dr, p) % p
-            work.append((cols[sub], b[:, sub], r[: dr + 1, sub], db, dr, step))
-    return out
+                low = a[:top]
+                low *= lc
+                low[top - db :] -= a[top] * b[:db]
+                low %= p
+            e = max(da - db + 1, 0)
+            if (da * db) & 1:
+                n = p - n
+            r = a[:db]
+            if r.shape[0] == db and r[db - 1].all():
+                n, d = _scale(n, d, lc, da - (db - 1) - e * db, p)
+                a, b, da, db = b, r, db, db - 1
+                continue
+            drs = _degrees(r)
+            # A zero remainder leaves its columns at 0 in ``num``.
+            for dr in set(drs[drs >= 0].tolist()):
+                sub = drs == dr
+                ns, ds = _scale(n[sub], d[sub], lc[sub], da - dr - e * db, p)
+                work.append((cols[sub], b[:, sub], r[: dr + 1, sub], db, dr, ns, ds))
+            break
+        else:
+            num[cols] = n * _powmod(b[0], da, p) % p
+            den[cols] = d
+    return num * _powmod(den, p - 2, p) % p
+
+
+def _scale(num: np.ndarray, den: np.ndarray, lc: np.ndarray, e: int, p: int):
+    """(num * lc^e, den) for e >= 0, else (num, den * lc^-e), mod p."""
+    if e >= 0:
+        return num * _powmod(lc, e, p) % p, den
+    return num, den * _powmod(lc, -e, p) % p
 
 
 def interpolate_monomial(points: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
     """Coefficients (low degree first) of the interpolating polynomial mod p.
 
-    One coefficient per sample point.  Newton divided differences, then
-    expansion to the monomial basis.  The sample points must be increasing
-    small non-negative integers; difference inverses are served from one
-    table, built by one vectorised powmod.  A divided-difference step takes
-    one remainder: the difference of two residues lies in (-p, p) and the
-    inverse below p, so their product fits in int64.  The Newton form is
-    expanded by Horner's rule inside one preallocated array, with one
-    array for the products, so no expansion step allocates.
+    One coefficient per sample point.  The points must be one run of
+    consecutive integers x_0, x_0 + 1, ..., with 0 <= x_0 and the last below
+    p; anything else raises ValueError.  On a run the Newton coefficients
+    are the forward differences over j!: c_j = (Delta^j y)(x_0) / j!.  The
+    differences are plain int64 subtractions, reduced mod p only every
+    62 - p.bit_length() steps: from residues, k subtractions leave every
+    entry below 2^k * p in absolute value, so below 2^62.  The scaling by
+    1/j! takes one Fermat inverse, of (n-1)!, and runs down from it.  The
+    Newton form is then expanded by Horner's rule inside one preallocated
+    array, with one array for the products, so no expansion step allocates.
     """
     import numpy as np
 
     x = np.asarray(points, dtype=np.int64)
-    coef = np.asarray(values, dtype=np.int64) % p
     n = x.size
-    span = int(x.max() - x.min()) if n else 0
-    # Fermat inverses of 0..span in one vectorised powmod; 0 maps to 0.
-    inv_table = _powmod(np.arange(span + 1, dtype=np.int64), p - 2, p)
+    if n and (x[0] < 0 or x[-1] >= p or (np.diff(x) != 1).any()):
+        raise ValueError("the sample points must be a run of consecutive integers in [0, p)")
+    coef = np.asarray(values, dtype=np.int64) % p
+    lazy = 62 - p.bit_length()
     for j in range(1, n):
-        coef[j:] = (coef[j:] - coef[j - 1 : -1]) * inv_table[x[j:] - x[:-j]] % p
+        coef[j:] -= coef[j - 1 : -1]
+        if j % lazy == 0:
+            np.remainder(coef[j:], p, out=coef[j:])
+    coef %= p
+    fact = 1
+    for j in range(2, n):
+        fact = fact * j % p
+    inv, inv_fact = pow(fact, p - 2, p), np.empty(n, dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        inv_fact[j] = inv
+        inv = inv * j % p
+    coef = coef * inv_fact % p
     # Horner: poly <- poly * (X - x_j) + c_j for j = n-2 .. 0, where out[:deg + 1]
     # holds poly, so out[k] <- out[k-1] - x_j * out[k], then out[0] gets c_j.
     out = np.zeros(n, dtype=np.int64)

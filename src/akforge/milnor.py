@@ -13,11 +13,13 @@ Every rank is computed by exact sparse elimination over the integers.
 Resultant valuation: after an origin-fixing shear that pushes all other
 critical points off the line x = 0, the Milnor number at the origin is the
 order of vanishing in x of the resultant of the two partials with respect
-to y.  The resultant is recovered by evaluation at integer sample points
-and interpolation, either exactly or modulo two independent primes.  Each
-sheared partial is scaled to integer coefficients once and kept as y-layers
-{j: {i: c}}, the form every later step reads.  The exact path evaluates
-the layers at each point and takes the Sylvester determinant by
+to y.  The resultant is recovered by evaluation at one run of consecutive
+integer sample points and interpolation, either exactly or modulo two
+independent primes.  Each sheared partial is scaled to integer
+coefficients once and kept as y-layers {j: {i: c}}, the form every later
+step reads.  The modular path takes each resultant by a division-free
+batched Euclid and interpolates by forward differences.  The exact path
+evaluates the layers at each point and takes the Sylvester determinant by
 fraction-free elimination, all in Python integers; Res_y lies in Z[x], and
 the divided differences of an integer polynomial at integer points are
 integers, so every division of the interpolation is exact and a nonzero
@@ -264,14 +266,19 @@ def _interp_valuation_exact(points: list[int], values: list[int]) -> int | None:
 
 
 def _sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
-    """The first ``count`` integers t >= 1 where no leading y-coefficient vanishes.
+    """The first run of ``count`` consecutive integers t >= 1 where no
+    leading y-coefficient vanishes.
 
     P and Q are y-layers; a partial of y-degree 0 is its own leading
     coefficient.  With a modulus ``p`` the test is vanishing mod p, so the
     y-degrees of both polynomials survive reduction at every chosen point;
     it reads each coefficient at t from powers of t mod p, never the exact
-    value.  The caller makes sure no coefficient vanishes identically mod p,
-    or the search would never end.
+    value.  A point where one vanishes starts the run afresh after it, so
+    where the first ``count`` integers all qualify they are the run.  Over
+    Z the leading coefficients have finitely many roots, so a run exists.
+    Mod p the caller makes sure no coefficient vanishes identically mod p;
+    with r roots mod p in all, a run then ends by (r + 1) * (count + 1),
+    which must stay below p, as it does at the seeded primes.
     """
     lcs = [[(i, c % p if p else c) for i, c in L[max(L)].items()] for L in (P, Q)]
     pts: list[int] = []
@@ -282,6 +289,8 @@ def _sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
             for lc in lcs
         ):
             pts.append(t)
+        else:
+            pts.clear()
         t += 1
     return pts
 
@@ -319,6 +328,9 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     the Sylvester determinant, or its Euclidean recurrence mod p, sees the
     full y-degrees at every point, and a partial of y-degree 0 needs no
     special case: its resultant with one of y-degree q is its q-th power.
+    They are one run of consecutive integers (the first such run from 1),
+    so the modular interpolation takes forward differences and needs no
+    inverse of a gap.
 
     The resultant is interpolated through deg_x Res + 1 sample points, with
 

@@ -16,6 +16,8 @@ from akforge._exactrank import (
     sylvester_matrix,
 )
 from akforge._modp import (
+    _PRIME_HI,
+    _PRIME_LO,
     DEFAULT_PRIME_SEED,
     _is_prime,
     eval_x_batch,
@@ -192,14 +194,22 @@ def test_resultant_batch_common_root():
     assert int(resultant_batch(fv, gv, p)[0]) == 0
 
 
-def remainder_degrees(a: list[int], b: list[int]) -> tuple[int, ...]:
-    """Degrees of a, b and their Euclidean remainders over Q; -1 is a zero remainder."""
-    a, b = [Fraction(v) for v in a], [Fraction(v) for v in b]
+def remainder_degrees(a: list[int], b: list[int], p: int | None = None) -> tuple[int, ...]:
+    """Degrees of a, b and their Euclidean remainders over Q, or over GF(p)
+    when p is given; -1 is a zero remainder."""
+
+    def div(u, v):
+        return u / v if p is None else u * pow(v, -1, p) % p
+
+    if p is None:
+        a, b = [Fraction(v) for v in a], [Fraction(v) for v in b]
     degs = [len(a) - 1, len(b) - 1]
     while b:
         while len(a) >= len(b):
-            f, sh = a[-1] / b[-1], len(a) - len(b)
+            f, sh = div(a[-1], b[-1]), len(a) - len(b)
             a = [v - f * b[i - sh] if i >= sh else v for i, v in enumerate(a)][:-1]
+            if p is not None:
+                a = [v % p for v in a]
             while a and a[-1] == 0:
                 a.pop()
         degs.append(len(a) - 1)
@@ -297,14 +307,19 @@ def add_mod(a: list[int], b: list[int], p: int) -> list[int]:
 
 @st.composite
 def resultant_batches(draw):
-    """Columns (a, b) mod p sharing one degree pair, of up to four kinds.
+    """A prime p and columns (a, b) mod p sharing one degree pair, of up to five kinds.
 
-    generic: random coefficients.  zero: a, b or both are the zero
-    polynomial.  root: a and b share the factor y - r.  drop: a and b are
-    built from a remainder sequence whose degrees fall by one and then by
-    two, e.g. 6, 3, 2, 0 (or by two at once when deg b = 2).
+    p is 7, 13 or KERNEL_PRIME; at the small primes the leading
+    coefficients of the remainders often vanish mod p.  generic: random
+    coefficients.  zero: a, b or both are the zero polynomial.  root: a and
+    b share the factor y - r.  drop: a and b are built from a remainder
+    sequence whose degrees fall by one and then by two, e.g. 6, 3, 2, 0 (or
+    by two at once when deg b = 2).  chain: the degrees fall by exactly one
+    at every step, e.g. 6, 3, 2, 1, 0.  A batch with deg a >= deg b >= 2
+    holds chain, drop and zero columns at once, so one group both goes on
+    as it is and splits.
     """
-    p = KERNEL_PRIME
+    p = draw(st.sampled_from([7, 13, KERNEL_PRIME]))
     da, db = draw(st.sampled_from(DEGREE_PAIRS))
 
     def poly(deg):  # low to high, nonzero leading coefficient
@@ -325,6 +340,8 @@ def resultant_batches(draw):
         kinds.append("root")
     if da >= db >= 2:
         kinds.append("drop")
+    if da >= db >= 1:
+        kinds.append("chain")
     columns = []
     for kind in kinds + draw(st.lists(st.sampled_from(kinds), max_size=8)):
         if kind == "generic":
@@ -336,17 +353,19 @@ def resultant_batches(draw):
         elif kind == "root":
             lin = [(-draw(st.integers(0, p - 1))) % p, 1]
             a, b = mul_mod(poly(da - 1), lin, p), mul_mod(poly(db - 1), lin, p)
-        else:
+        elif kind == "drop":
             tail = [db - 1, db - 3] if db >= 3 else [db - 2]
             a, b = from_remainders([da, db, *tail])
+        else:
+            a, b = from_remainders([da, *range(db, -1, -1)])
         columns.append((kind, a, b))
-    return draw(st.permutations(columns))
+    return p, draw(st.permutations(columns))
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(resultant_batches())
-def test_resultant_batch_property_matches_sylvester(columns):
-    p = KERNEL_PRIME
+def test_resultant_batch_property_matches_sylvester(batch):
+    p, columns = batch
     # One spare zero row on top: the kernel trims it per column.
     fv = np.zeros((8, len(columns)), dtype=np.int64)
     gv = np.zeros((8, len(columns)), dtype=np.int64)
@@ -359,6 +378,8 @@ def test_resultant_batch_property_matches_sylvester(columns):
         else:
             want.append(det_bareiss(sylvester_matrix(a, b)) % p)
             assert kind != "root" or want[-1] == 0
+            if kind == "chain":
+                assert remainder_degrees(a, b, p)[2:] == tuple(range(len(b) - 2, -2, -1))
     assert resultant_batch(fv, gv, p).tolist() == want
 
 
@@ -416,15 +437,14 @@ def test_eval_x_batch_property_matches_dense_horner(case):
     st.integers(0, 60).flatmap(
         lambda deg: st.tuples(
             st.lists(st.integers(-(10**20), 10**20), min_size=deg + 1, max_size=deg + 1),
-            st.lists(st.integers(0, 400), min_size=deg + 1, max_size=deg + 1, unique=True).map(
-                sorted
-            ),
+            st.integers(0, 400),
         )
     )
 )
 def test_interpolate_monomial_property_recovers_polynomial(case):
-    # Increasing points with gaps of any width; any degree up to 60.
-    coeffs, pts = case
+    # A run of consecutive points from any start in 0..400; any degree up to 60.
+    coeffs, start = case
+    pts = list(range(start, start + len(coeffs)))
     p = KERNEL_PRIME
     vals = [sum(c * t**i for i, c in enumerate(coeffs)) % p for t in pts]
     got = interpolate_monomial(np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64), p)
@@ -437,9 +457,61 @@ def test_interpolate_monomial():
     for _ in range(25):
         deg = rng.randrange(0, 12)
         coeffs = [rng.randrange(0, 10**6) for _ in range(deg + 1)]
-        pts = sorted(rng.sample(range(1, 60), deg + 1))
+        start = rng.randrange(1, 60)
+        pts = list(range(start, start + deg + 1))
         vals = [sum(c * t**i for i, c in enumerate(coeffs)) % p for t in pts]
         got = interpolate_monomial(
             np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64), p
         )
         assert [int(v) for v in got] == [c % p for c in coeffs]
+
+
+def newton_monomial_reference(points: list[int], values: list[int], p: int) -> list[int]:
+    """Divided differences and their expansion in Python integers mod p."""
+    n = len(points)
+    coef = [v % p for v in values]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * pow(points[i] - points[i - j], -1, p) % p
+    poly = [coef[n - 1]]
+    for j in range(n - 2, -1, -1):
+        nxt = [0] * (len(poly) + 1)
+        for i, v in enumerate(poly):
+            nxt[i + 1] += v
+            nxt[i] -= points[j] * v
+        nxt[0] += coef[j]
+        poly = [v % p for v in nxt]
+    return poly
+
+
+def test_interpolate_monomial_lazy_reduction_at_the_largest_prime():
+    # The largest prime the seeds can draw, so 62 - p.bit_length() unreduced
+    # differences is the tightest interval.  Values alternating p - 1 and 0
+    # double at every difference, the fastest growth residues allow, and
+    # n = 256 points make the lazy reduction fire 8 times.
+    p = next(q for q in range(_PRIME_HI, _PRIME_LO, -1) if _is_prime(q))
+    n = 256
+    rng = random.Random(7272)
+    cases = {
+        "alternating": [p - 1 if i % 2 == 0 else 0 for i in range(n)],
+        "constant": [p - 1] * n,
+        "random": [rng.randrange(p) for _ in range(n)],
+    }
+    for start in (0, 1, 300):
+        pts = list(range(start, start + n))
+        for name, vals in cases.items():
+            got = interpolate_monomial(np.array(pts, dtype=np.int64), np.array(vals, dtype=np.int64), p)
+            assert got.tolist() == newton_monomial_reference(pts, vals, p), (name, start)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[3, 1, 2], [1, 2, 4], [2, 2, 3], [5, 4, 3], [-1, 0, 1], [0, 1, KERNEL_PRIME]],
+)
+def test_interpolate_monomial_rejects_points_that_are_no_run(points):
+    # 5 + 2t + 7t^2 through [3, 1, 2] came out as wrong coefficients
+    # when any increasing points were accepted
+    p = KERNEL_PRIME
+    vals = [(5 + 2 * t + 7 * t * t) % p for t in points]
+    with pytest.raises(ValueError):
+        interpolate_monomial(np.array(points, dtype=np.int64), np.array(vals, dtype=np.int64), p)

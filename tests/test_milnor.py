@@ -309,15 +309,17 @@ def test_exact_interpolation_rejects_values_from_no_integer_polynomial():
         milnor_mod._interp_valuation_exact([1, 2, 3], [0, 1, 3])
 
 
-def _big_integer_sample_points(P, Q, count: int, p: int) -> list[int]:
-    """Reference: the test on exact values that _sample_points replaced."""
+def _big_integer_sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
+    """Reference: the first run of ``count`` consecutive t >= 1, tested on exact values."""
     lcs = [L[max(L)] for L in (P, Q)]
-    pts, t = [], 1
-    while len(pts) < count:
-        if all(sum(c * t**i for i, c in lc.items()) % p for lc in lcs):
-            pts.append(t)
-        t += 1
-    return pts
+    t = 1
+    while True:
+        run = range(t, t + count)
+        values = [[sum(c * u**i for i, c in lc.items()) for lc in lcs] for u in run]
+        bad = [u for u, vs in zip(run, values) if not all(v % p if p else v for v in vs)]
+        if not bad:
+            return list(run)
+        t = bad[-1] + 1
 
 
 def test_modular_sample_points_match_the_big_integer_test(monkeypatch):
@@ -334,15 +336,56 @@ def test_modular_sample_points_match_the_big_integer_test(monkeypatch):
     P, Q, count = calls[0]  # F(1)'s partials, as milnor_resultant shears them
     for p in primes_from_seed(2):
         pts = milnor_mod._sample_points(P, Q, count, p)
-        assert pts == _big_integer_sample_points(P, Q, count, p)
-        # leading y-coefficients that vanish at t = 3 mod p only, and at t = 7
+        assert pts == _big_integer_sample_points(P, Q, count, p) == list(range(1, count + 1))
+        # leading y-coefficients that vanish at t = 3 mod p only, and at t = 7:
+        # the run starts after the last of them
         P2, Q2 = (
             milnor_mod._y_layers(milnor_mod._integer_terms(parse_poly(text)))
             for text in (f"(x + {p - 3})*y^2 + x", "(x - 7)*y + 1")
         )
         pts = milnor_mod._sample_points(P2, Q2, 20, p)
-        assert pts == _big_integer_sample_points(P2, Q2, 20, p)
-        assert pts[:8] == [1, 2, 4, 5, 6, 8, 9, 10]
+        assert pts == _big_integer_sample_points(P2, Q2, 20, p) == list(range(8, 28))
+        assert milnor_mod._sample_points(P2, Q2, 3, p) == [4, 5, 6]
+
+
+def _layers(text: str) -> dict[int, dict[int, int]]:
+    return milnor_mod._y_layers(milnor_mod._integer_terms(parse_poly(text)))
+
+
+def test_sample_points_start_after_a_zero_of_a_leading_coefficient():
+    # lc_y(P) = x - 2 vanishes at t = 2 over Z.  Mod 13 only, x + 11 vanishes
+    # at t = 2, 15, 28, ... and x + 6 at t = 7, 20, ...: runs 3..6 and 8..14
+    Q = _layers("y^2 + x^3")
+    assert milnor_mod._sample_points(_layers("(x - 2)*y^3 + x^4"), Q, 5) == [3, 4, 5, 6, 7]
+    P13, Q13 = _layers("(x + 11)*y^3 + x^4"), _layers("(x + 6)*y^2 + x^3")
+    assert milnor_mod._sample_points(P13, Q13, 5) == [1, 2, 3, 4, 5]
+    assert milnor_mod._sample_points(P13, Q13, 4, 13) == [3, 4, 5, 6]
+    assert milnor_mod._sample_points(P13, Q13, 5, 13) == [8, 9, 10, 11, 12]
+    assert milnor_mod._sample_points(P13, Q13, 7, 13) == list(range(8, 15))
+    for count in (1, 2, 4, 5, 7):
+        for p in (None, 13):
+            assert milnor_mod._sample_points(P13, Q13, count, p) == _big_integer_sample_points(
+                P13, Q13, count, p
+            )
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "modular"])
+def test_resultant_on_a_germ_whose_leading_coefficient_vanishes_at_2(monkeypatch, arithmetic):
+    # f_y = 3*(x - 2)*y^2: the identity shear is admissible, and its
+    # sample points must skip t = 2
+    f = parse_poly("(x - 2)*y^3 + x^4")
+    runs = []
+    sample_points = milnor_mod._sample_points
+
+    def spy(*args):
+        runs.append(sample_points(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(milnor_mod, "_sample_points", spy)
+    r = milnor_resultant(f, arithmetic=arithmetic)
+    assert r.mu == milnor_fulton(f).mu == 6
+    assert runs and all(run[0] == 3 and run == list(range(3, 3 + len(run))) for run in runs)
+    assert r.arithmetic == "exact" if arithmetic == "exact" else r.arithmetic.startswith("two-prime")
 
 
 def test_modular_truncated_matches_exact():
