@@ -234,7 +234,11 @@ def resultant_batch(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
                 low = a[:top]
                 low *= lc
                 low[top - db :] -= a[top] * b[:db]
-                low %= p
+                # low %= p by floor division: numpy divides by a scalar
+                # several times faster than it takes a remainder.
+                q = low // p
+                q *= p
+                low -= q
             e = max(da - db + 1, 0)
             if (da * db) & 1:
                 n = p - n
