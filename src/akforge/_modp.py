@@ -234,8 +234,8 @@ def resultant_batch(fv: np.ndarray, gv: np.ndarray, p: int) -> np.ndarray:
                 low = a[:top]
                 low *= lc
                 low[top - db :] -= a[top] * b[:db]
-                # low %= p by floor division: numpy divides by a scalar
-                # several times faster than it takes a remainder.
+                # low %= p by floor division: numpy divides int64 by a
+                # scalar about 1.7 times faster than it takes a remainder.
                 q = low // p
                 q *= p
                 low -= q
