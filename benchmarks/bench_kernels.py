@@ -9,7 +9,9 @@ Times three cases of the oracle-crosscheck benchmark workload:
   d = 2..200;
 - the exact resultant oracle, ``milnor_resultant(f, arithmetic="exact")``,
   on the 12 resultant germs of oracle-crosscheck at seed 101 and on F(0),
-  with the time inside ``_interp_valuation_exact``;
+  with the time inside ``_modular_valuation`` (the whole modular engine at
+  one prime: points, evaluation, resultants and interpolation), which
+  reads 0 in a checkout whose exact path never calls it;
 - the modular resultant oracle on F(1), with the time inside
   ``_sample_points`` and ``interpolate_monomial``.
 
@@ -110,7 +112,7 @@ def main() -> None:
         "bound_table_d200": measure(bound_table),
         "resultant_exact_germs_and_F0": measure(
             lambda: [repr(milnor.milnor_resultant(f, arithmetic="exact")) for f in germs],
-            ("_interp_valuation_exact",),
+            ("_modular_valuation",),
         ),
         "resultant_modular_F1": measure(
             lambda: [repr(milnor.milnor_resultant(F1, arithmetic="modular"))],

@@ -3,19 +3,23 @@
     PYTHONPATH=src python3 benchmarks/bench_resultant.py --label after
     PYTHONPATH=<other checkout>/src python3 benchmarks/bench_resultant.py --label before
 
-Times ``milnor_resultant(build_F(s).F, arithmetic="modular")`` for
-s = 0..3 and, inside it, the oracle's layers: choosing the sample points
-(``_sample_points``), Horner evaluation (``eval_x_batch``), the resultant at
-every point (``resultant_batch``) and interpolation
-(``interpolate_monomial``).  The layers are timed by wrapping those names in
-``akforge.milnor``, so the script runs unchanged against any checkout that
-has them.  Each member also records, per sheared partial, its number of
-terms next to the cells of its dense (y-degree + 1) x (x-degree + 1)
-coefficient matrix: the work of a sparse and of a dense evaluation per
-sample point.  Each s runs up to three times, stopping once 10 s have been
-spent on it; the median run is reported.  The record, with the environment,
-the reports and the largest s finished within 1 s and within 10 s, is stored
-under ``runs[<label>]`` of ``benchmarks/BENCH_resultant.json``; records under
+Times ``milnor_resultant(build_F(s).F, arithmetic=a)`` for s = 0..3, first
+with a = "modular" and then with a = "exact", and, inside it, the oracle's
+layers: choosing the sample points (``_sample_points``), Horner evaluation
+(``eval_x_batch``), the resultant at every point (``resultant_batch``) and
+interpolation (``interpolate_monomial``).  The layers are timed by wrapping
+those names in ``akforge.milnor``, so the script runs unchanged against any
+checkout that has them; a layer that a checkout's path never calls reads 0.
+Each member also records, per sheared partial, its number of terms next to
+the cells of its dense (y-degree + 1) x (x-degree + 1) coefficient matrix:
+the work of a sparse and of a dense evaluation per sample point, and how
+many runs of sample points were taken, with their lengths.  Each s runs up
+to three times, stopping once 10 s have been spent on it; the median run is
+reported.  A run still going after 60 s is stopped (``signal.alarm``); it is
+recorded as stopped, and the larger s of the same arithmetic as skipped.
+The record, with the environment and, per arithmetic, the reports and the
+largest s finished within 1 s and within 10 s, is stored under
+``runs[<label>]`` of ``benchmarks/BENCH_resultant.json``; records under
 other labels are kept, so one file holds the numbers of two checkouts.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -33,8 +38,10 @@ from akforge.family import build_F
 from _common import environment, store
 
 LAYERS = ("_sample_points", "eval_x_batch", "resultant_batch", "interpolate_monomial")
+ARITHMETICS = ("modular", "exact")
 MAX_S = 3
 BUDGETS_S = (1.0, 10.0)
+STOP_AFTER_S = 60
 OUT = Path(__file__).resolve().parent / "BENCH_resultant.json"
 
 
@@ -46,7 +53,7 @@ def partial_sizes(L: dict[int, dict[int, int]]) -> dict:
     }
 
 
-def timed_run(F) -> dict:
+def timed_run(F, arithmetic: str) -> dict:
     """One oracle call with every layer wrapped; returns times, point counts and sizes."""
     spent: dict[str, float] = defaultdict(float)
     points: list[int] = []
@@ -69,7 +76,7 @@ def timed_run(F) -> dict:
         setattr(milnor, name, wrap(name, fn))
     try:
         t0 = time.perf_counter()
-        report = milnor.milnor_resultant(F, arithmetic="modular")
+        report = milnor.milnor_resultant(F, arithmetic=arithmetic)
         total = time.perf_counter() - t0
     finally:
         for name, fn in originals.items():
@@ -80,16 +87,31 @@ def timed_run(F) -> dict:
         "total_s": round(total, 4),
         "layers_s": layers,
         "other_s": round(total - sum(spent.values()), 4),
-        "points_per_call": points,
+        "sample_runs": len(points),
+        "points_per_run": sorted(set(points)),
         "partials": sizes,
     }
 
 
-def measure(s: int) -> dict:
+class OverLimit(Exception):
+    """Raised in a run that passes STOP_AFTER_S."""
+
+
+def _over_limit(signum, frame):
+    raise OverLimit
+
+
+def measure(s: int, arithmetic: str) -> dict:
     F = build_F(s).F
     runs = []
     while len(runs) < 3 and sum(r["total_s"] for r in runs) < 10.0:
-        runs.append(timed_run(F))
+        signal.alarm(STOP_AFTER_S)
+        try:
+            runs.append(timed_run(F, arithmetic))
+        except OverLimit:
+            return {"stopped": f"one run passed {STOP_AFTER_S} s"}
+        finally:
+            signal.alarm(0)
     runs.sort(key=lambda r: r["total_s"])
     row = dict(runs[len(runs) // 2])
     row["repeats"] = len(runs)
@@ -103,23 +125,30 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this record in the JSON")
     args = ap.parse_args()
-    milnor.milnor_resultant(build_F(0).F, arithmetic="modular")  # warm-up
-    members = {}
-    for s in range(MAX_S + 1):
-        members[str(s)] = measure(s)
-        print(f"s={s}", json.dumps(members[str(s)]), flush=True)
-    frontier = {}
-    for budget in BUDGETS_S:
-        done = [s for s in range(MAX_S + 1) if members[str(s)]["total_s"] <= budget]
-        frontier[f"largest_s_within_{budget:g}s"] = max(done, default=None)
+    signal.signal(signal.SIGALRM, _over_limit)
     record = {
         "environment": environment(),
         "medians_over": "up to 3 runs per s, stopping after 10 s",
-        "members": members,
-        "frontier": frontier,
     }
+    for arithmetic in ARITHMETICS:
+        milnor.milnor_resultant(build_F(0).F, arithmetic=arithmetic)  # warm-up
+        members: dict[str, dict] = {}
+        for s in range(MAX_S + 1):
+            if any("stopped" in row for row in members.values()):
+                members[str(s)] = {
+                    "skipped": f"a smaller s was stopped after {STOP_AFTER_S} s, "
+                    "so the larger s were not run"
+                }
+            else:
+                members[str(s)] = measure(s, arithmetic)
+            print(arithmetic, f"s={s}", json.dumps(members[str(s)]), flush=True)
+        frontier = {}
+        for budget in BUDGETS_S:
+            done = [s for s, row in members.items() if row.get("total_s", budget + 1) <= budget]
+            frontier[f"largest_s_within_{budget:g}s"] = max(map(int, done), default=None)
+        record[arithmetic] = {"members": members, "frontier": frontier}
+        print(arithmetic, json.dumps(frontier), flush=True)
     store(OUT, args.label, record)
-    print(json.dumps(frontier))
 
 
 if __name__ == "__main__":

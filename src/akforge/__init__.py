@@ -8,8 +8,8 @@ truncated local algebra, the resultant valuation and Fulton's
 intersection-multiplicity algorithm), and compares the construction against
 the general degree bound k <= (d-1)^2 - floor(d/2)(floor(d/2) - 1).
 
-Importing the package does not load numpy: only the resultant oracle's
-modular path uses it, and imports it when it first runs.
+Importing the package does not load numpy: only the resultant oracle uses
+it, in either arithmetic, and imports it when it first runs.
 """
 
 from __future__ import annotations

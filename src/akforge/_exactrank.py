@@ -66,27 +66,6 @@ def rank_profile_sparse(rows: list[dict[int, int]], ncols: int) -> list[int]:
     return pivots
 
 
-def sylvester_matrix(a: list[int], b: list[int]) -> list[list[int]]:
-    """Sylvester matrix of two univariate polynomials.
-
-    Coefficient lists run low to high degree with nonzero leading entries.
-    The determinant of the returned matrix is the resultant in the standard
-    convention, matching the Euclidean-remainder recurrence used mod p.
-    """
-    if not a or not b or a[-1] == 0 or b[-1] == 0:
-        raise ValueError("polynomials must be nonzero with trimmed leading zeros")
-    da, db = len(a) - 1, len(b) - 1
-    n = da + db
-    desc_a = a[::-1]
-    desc_b = b[::-1]
-    rows = []
-    for i in range(db):
-        rows.append([0] * i + desc_a + [0] * (n - i - da - 1))
-    for i in range(da):
-        rows.append([0] * i + desc_b + [0] * (n - i - db - 1))
-    return rows
-
-
 def det_bareiss(mat: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix, fraction-free."""
     n = len(mat)

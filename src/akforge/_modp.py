@@ -2,21 +2,22 @@
 
 Primes are drawn deterministically from a PRNG seed in the half-open range
 (2^31, isqrt(2^63)], so any product of two residues fits in a signed 64-bit
-integer.  The seed comes from the AKFORGE_PRIME_SEED environment variable
-when set, else from DEFAULT_PRIME_SEED, which makes every modular result
-reproducible byte for byte.
+integer: seeded_primes yields them one after another, and primes_from_seed
+takes the first few.  The seed comes from the AKFORGE_PRIME_SEED
+environment variable when set, else from DEFAULT_PRIME_SEED, which makes
+every modular result reproducible byte for byte.
 
 Every kernel is plain numpy over int64 residues.  The resultant oracle's
-modular path uses three: evaluation of sparse y-layers at many sample
-points (eval_x_batch: one product per term and point, against one running
-power of the points), the univariate Euclidean resultant at every
-point at once (resultant_batch: division-free pseudo-remainder steps per
-group of points that share a degree sequence, with one inverse per point
-at the end) and Newton interpolation through one run of consecutive
-points (interpolate_monomial: O(n^2) forward differences by plain int64
-subtraction, reduced mod p only every 62 - p.bit_length() steps and
-scaled by 1/j! once, then an O(n^2) expansion to the monomial basis
-inside one preallocated array).
+one engine, which both its arithmetics run, uses three: evaluation of
+sparse y-layers at many sample points (eval_x_batch: one product per term
+and point, against one running power of the points), the univariate
+Euclidean resultant at every point at once (resultant_batch:
+division-free pseudo-remainder steps per group of points that share a
+degree sequence, with one inverse per point at the end) and Newton
+interpolation through one run of consecutive points (interpolate_monomial:
+O(n^2) forward differences by plain int64 subtraction, reduced mod p only
+every 62 - p.bit_length() steps and scaled by 1/j! once, then an O(n^2)
+expansion to the monomial basis inside one preallocated array).
 The dense row elimination rank_profile_mod_p has no caller in the package;
 perfbench still traces it under that name.  numpy is imported inside each
 kernel, so importing this module, and with it the package, does not load
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Iterator
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInput
@@ -75,19 +78,24 @@ def prime_seed() -> int:
         ) from None
 
 
-def primes_from_seed(count: int = 2, seed: int | None = None) -> tuple[int, ...]:
-    """Deterministic distinct primes in (2^31, isqrt(2^63)]."""
+def seeded_primes(seed: int | None = None) -> Iterator[int]:
+    """Deterministic distinct primes in (2^31, isqrt(2^63)], one after another."""
     if seed is None:
         seed = prime_seed()
     rng = random.Random(seed)
-    found: list[int] = []
-    while len(found) < count:
+    found: set[int] = set()
+    while True:
         c = rng.randrange(_PRIME_LO + 1, _PRIME_HI) | 1
         while c <= _PRIME_HI and not _is_prime(c):
             c += 2
         if c <= _PRIME_HI and c not in found:
-            found.append(c)
-    return tuple(found)
+            found.add(c)
+            yield c
+
+
+def primes_from_seed(count: int = 2, seed: int | None = None) -> tuple[int, ...]:
+    """The first ``count`` primes of seeded_primes(seed)."""
+    return tuple(islice(seeded_primes(seed), count))
 
 
 # -- rank profile ----------------------------------------------------------
@@ -279,7 +287,8 @@ def interpolate_monomial(points: np.ndarray, values: np.ndarray, p: int) -> np.n
     entry below 2^k * p in absolute value, so below 2^62.  The scaling by
     1/j! takes one Fermat inverse, of (n-1)!, and runs down from it.  The
     Newton form is then expanded by Horner's rule inside one preallocated
-    array, with one array for the products, so no expansion step allocates.
+    array, with scratch arrays for the products and their quotients by p
+    (each step is reduced as x - (x // p)*p), so no step allocates.
     """
     import numpy as np
 
@@ -305,12 +314,14 @@ def interpolate_monomial(points: np.ndarray, values: np.ndarray, p: int) -> np.n
     # Horner: poly <- poly * (X - x_j) + c_j for j = n-2 .. 0, where out[:deg + 1]
     # holds poly, so out[k] <- out[k-1] - x_j * out[k], then out[0] gets c_j.
     out = np.zeros(n, dtype=np.int64)
-    prods = np.empty(n, dtype=np.int64)
+    prods, quots = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     out[0] = coef[n - 1]
     for deg, j in enumerate(range(n - 2, -1, -1)):
         xj = int(x[j])
         step = np.multiply(out[1 : deg + 2], -xj, out=prods[: deg + 1])
         step += out[: deg + 1]
-        np.remainder(step, p, out=out[1 : deg + 2])
+        q = np.floor_divide(step, p, out=quots[: deg + 1])
+        q *= p
+        np.subtract(step, q, out=out[1 : deg + 2])
         out[0] = (coef[j] - xj * out[0]) % p
     return out

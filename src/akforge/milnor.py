@@ -13,17 +13,14 @@ Every rank is computed by exact sparse elimination over the integers.
 Resultant valuation: after an origin-fixing shear that pushes all other
 critical points off the line x = 0, the Milnor number at the origin is the
 order of vanishing in x of the resultant of the two partials with respect
-to y.  The resultant is recovered by evaluation at one run of consecutive
-integer sample points and interpolation, either exactly or modulo two
-independent primes.  Each sheared partial is scaled to integer
-coefficients once and kept as y-layers {j: {i: c}}, the form every later
-step reads.  The modular path takes each resultant by a division-free
-batched Euclid and interpolates by forward differences.  The exact path
-evaluates the layers at each point and takes the Sylvester determinant by
-fraction-free elimination, all in Python integers; Res_y lies in Z[x], and
-the divided differences of an integer polynomial at integer points are
-integers, so every division of the interpolation is exact and a nonzero
-remainder raises AssertionError.
+to y.  Each sheared partial is scaled to integer coefficients once and kept
+as y-layers {j: {i: c}}, the form every later step reads.  There is one
+engine, at one prime p: evaluation at one run of consecutive sample points
+mod p, a division-free batched Euclid, and interpolation by forward
+differences.  The modular path runs it at two seeded primes and reports
+their agreement.  The exact path runs it at as many seeded primes as a
+bound on the coefficients of Res_y needs to prove the valuation (the
+classic modular resultant of Collins and Brown, JACM 18, 1971).
 
 Fulton's algorithm: the Milnor number is the intersection multiplicity
 I_0(f_x, f_y), reduced step by step with the rules that define it
@@ -31,8 +28,8 @@ I_0(f_x, f_y), reduced step by step with the rules that define it
 needs no truncation, shear or sample point, but its polynomials can grow on
 dense germs, so it stops at a fixed term budget.
 
-numpy is imported only inside the resultant's modular path, so importing
-this module does not load it.
+numpy is imported only inside the resultant's engine, by either
+arithmetic, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -42,9 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._exactrank import det_bareiss, rank_profile_sparse, sylvester_matrix
-from ._modp import eval_x_batch, interpolate_monomial, primes_from_seed, resultant_batch
-# Unused here; kept because perfbench/spans.py patches milnor.rank_profile_mod_p by name.
+from ._exactrank import rank_profile_sparse
+from ._modp import eval_x_batch, interpolate_monomial, resultant_batch
+from ._modp import primes_from_seed, seeded_primes
+# Unused here; kept because perfbench/spans.py patches milnor.det_bareiss and
+# milnor.rank_profile_mod_p by name.
+from ._exactrank import det_bareiss  # noqa: F401
 from ._modp import rank_profile_mod_p  # noqa: F401
 from .errors import (
     BudgetExceeded,
@@ -60,8 +60,8 @@ TRUNCATED_METHOD = "truncated-local-algebra"
 RESULTANT_METHOD = "resultant"
 FULTON_METHOD = "fulton"
 
-# Above this degree bound for the interpolated resultant, the exact
-# Sylvester-determinant path is replaced by the two-prime modular one.
+# Above this degree bound for the interpolated resultant, "auto" takes the
+# two-prime modular path instead of the exact one.
 _EXACT_RESULTANT_LIMIT = 300
 
 # The shears t of (x, y) -> (x + t*y, y) that milnor_resultant tries, in order.
@@ -230,64 +230,27 @@ def _is_monomial_univ(c: list[Fraction]) -> bool:
     return sum(1 for v in c if v) == 1
 
 
-def _interp_valuation_exact(points: list[int], values: list[int]) -> int | None:
-    """Order of vanishing at 0 of the degree < len(points) interpolant.
+def _sample_points(P, Q, count: int, p: int) -> list[int]:
+    """The first run of ``count`` consecutive integers t >= 1 at which no
+    leading y-coefficient of the y-layers P or Q vanishes mod p.
 
-    The values are those of an integer polynomial at increasing integer
-    points, so every divided difference is an integer and each division
-    here is exact.  A nonzero remainder means the values came from no
-    polynomial in Z[x]; it raises AssertionError rather than return a
-    valuation read from a wrong interpolant.
+    A partial of y-degree 0 is its own leading coefficient.  Each value is
+    read from powers of t mod p.  A point where one vanishes starts the run
+    afresh after it, so where the first ``count`` integers all qualify they
+    are the run.  With r roots mod p in all, at most r + 1 gaps lie between
+    them, so a run is complete by t = (r + 1) * count, and r is at most the
+    sum of the x-degrees of the leading coefficients unless one vanishes
+    identically mod p.  A run that cannot end by then, or below p as
+    interpolate_monomial requires, raises ValueError at once.
     """
-    n = len(points)
-    coef = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            q, r = divmod(coef[i] - coef[i - 1], points[i] - points[i - j])
-            if r:
-                raise AssertionError(
-                    f"divided difference of order {j} at {points[i - j]}..{points[i]} "
-                    "is not an integer: the values come from no polynomial in Z[x]"
-                )
-            coef[i] = q
-    poly = [coef[n - 1]]
-    for j in range(n - 2, -1, -1):
-        xj = points[j]
-        nxt = [0] * (len(poly) + 1)
-        for i, v in enumerate(poly):
-            nxt[i + 1] += v
-            nxt[i] -= xj * v
-        nxt[0] += coef[j]
-        poly = nxt
-    for i, v in enumerate(poly):
-        if v:
-            return i
-    return None
-
-
-def _sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
-    """The first run of ``count`` consecutive integers t >= 1 where no
-    leading y-coefficient vanishes.
-
-    P and Q are y-layers; a partial of y-degree 0 is its own leading
-    coefficient.  With a modulus ``p`` the test is vanishing mod p, so the
-    y-degrees of both polynomials survive reduction at every chosen point;
-    it reads each coefficient at t from powers of t mod p, never the exact
-    value.  A point where one vanishes starts the run afresh after it, so
-    where the first ``count`` integers all qualify they are the run.  Over
-    Z the leading coefficients have finitely many roots, so a run exists.
-    Mod p the caller makes sure no coefficient vanishes identically mod p;
-    with r roots mod p in all, a run then ends by (r + 1) * (count + 1),
-    which must stay below p, as it does at the seeded primes.
-    """
-    lcs = [[(i, c % p if p else c) for i, c in L[max(L)].items()] for L in (P, Q)]
+    lcs = [[(i, c % p) for i, c in L[max(L)].items()] for L in (P, Q)]
+    last = min(p - 1, (sum(max(L[max(L)]) for L in (P, Q)) + 1) * count)
     pts: list[int] = []
     t = 1
     while len(pts) < count:
-        if all(
-            sum(c * pow(t, i, p) for i, c in lc) % p if p else sum(c * t**i for i, c in lc)
-            for lc in lcs
-        ):
+        if t + count - len(pts) - 1 > last:
+            raise ValueError(f"no run of {count} sample points mod p = {p} by t = {last}")
+        if all(sum(c * pow(t, i, p) for i, c in lc) % p for lc in lcs):
             pts.append(t)
         else:
             pts.clear()
@@ -307,6 +270,41 @@ def _modular_valuation(P, Q, count: int, p: int) -> int | None:
     return int(nz[0]) if nz.size else None
 
 
+def _admits(P, Q, p: int) -> bool:
+    """Whether p divides no leading y-coefficient of P or Q outright."""
+    return all(any(c % p for c in L[max(L)].values()) for L in (P, Q))
+
+
+def _exact_valuation(P, Q, count: int) -> int | None:
+    """x-valuation of Res_y(P, Q) in Z[x], or None where Res_y(P, Q) = 0:
+    the least _modular_valuation over enough seeded primes.
+
+    Every coefficient of Res_y(P, Q) is at most B = ||P||_1^qy * ||Q||_1^py
+    in absolute value, with ||.||_1 the sum of the absolute values of the
+    coefficients and py, qy the y-degrees: expand the Sylvester determinant
+    row by row, qy rows holding the y-coefficients of P and py those of Q.
+    So B < 2^bits.  Mod a prime that divides no leading y-coefficient
+    outright, the sample points keep both y-degrees, so the interpolant
+    through ``count`` > deg_x Res_y points is Res_y(P, Q) mod p, and its
+    valuation is at least the true one, v.  Once the primes used multiply
+    past 2^bits, the nonzero coefficient at x^v survives mod one of them,
+    so v is the least valuation seen; and if all give the zero interpolant,
+    every coefficient is a multiple of a number above B, so Res_y(P, Q) = 0.
+    """
+    norm_p, norm_q = (sum(abs(c) for row in L.values() for c in row.values()) for L in (P, Q))
+    bits = max(Q) * norm_p.bit_length() + max(P) * norm_q.bit_length()
+    val, product = None, 1
+    for p in seeded_primes():
+        if not _admits(P, Q, p):
+            continue
+        v = _modular_valuation(P, Q, count, p)
+        if v is not None:
+            val = v if val is None else min(val, v)
+        product *= p
+        if product >> bits:
+            return val
+
+
 def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport:
     """Milnor number as the x-valuation of Res_y of the two partials.
 
@@ -323,14 +321,21 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     local algebra answer there.
 
     Each sheared partial is read once as integer y-layers.  The sample
-    points avoid the zeros of the leading y-coefficient of every partial,
-    y-degree 0 included, where the whole partial is that coefficient; so
-    the Sylvester determinant, or its Euclidean recurrence mod p, sees the
-    full y-degrees at every point, and a partial of y-degree 0 needs no
-    special case: its resultant with one of y-degree q is its q-th power.
-    They are one run of consecutive integers (the first such run from 1),
-    so the modular interpolation takes forward differences and needs no
-    inverse of a gap.
+    points avoid the zeros mod p of the leading y-coefficient of every
+    partial, y-degree 0 included, where the whole partial is that
+    coefficient; so the Euclidean recurrence mod p sees the full y-degrees
+    at every point, and a partial of y-degree 0 needs no special case: its
+    resultant with one of y-degree q is its q-th power.  They are one run
+    of consecutive integers (the first such run from 1), so the
+    interpolation takes forward differences and needs no inverse of a gap.
+
+    Both arithmetics run one engine, _modular_valuation, a prime at a time.
+    "modular" reports two-prime-modular(p1,p2) where the first two seeded
+    primes agree; a disagreement, or a prime that divides a leading
+    y-coefficient outright, takes the exact path.  "exact" goes on through
+    the seeded primes until their product proves the valuation
+    (_exact_valuation); AKFORGE_PRIME_SEED picks the primes but cannot
+    change the answer.
 
     The resultant is interpolated through deg_x Res + 1 sample points, with
 
@@ -384,20 +389,12 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
             # A prime that divides a leading y-coefficient outright leaves no
             # sample point, so it cannot witness; nor can two primes that
             # disagree.  Both cases take the exact path.
-            if all(any(c % p for c in L[max(L)].values()) for p in (p1, p2) for L in (P, Q)):
+            if _admits(P, Q, p1) and _admits(P, Q, p2):
                 v1 = _modular_valuation(P, Q, count, p1)
                 if v1 == _modular_valuation(P, Q, count, p2):
                     val, arith_used = v1, f"two-prime-modular({p1},{p2})"
         if arith_used == "exact":
-            pts = _sample_points(P, Q, count)
-            values = []
-            for a in pts:
-                pv, qv = (
-                    [sum(c * a**i for i, c in L.get(j, {}).items()) for j in range(max(L) + 1)]
-                    for L in (P, Q)
-                )
-                values.append(det_bareiss(sylvester_matrix(pv, qv)))
-            val = _interp_valuation_exact(pts, values)
+            val = _exact_valuation(P, Q, count)
         if val is None:
             raise NonIsolated("the partials share a factor: resultant is identically zero")
         return MilnorReport(val, RESULTANT_METHOD, val, arith_used)

@@ -10,11 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akforge._exactrank import (
-    det_bareiss,
-    rank_profile_sparse,
-    sylvester_matrix,
-)
+from akforge._exactrank import det_bareiss, rank_profile_sparse
 from akforge._modp import (
     _PRIME_HI,
     _PRIME_LO,
@@ -67,6 +63,16 @@ def gauss_det_fractions(mat: list[list[int]]) -> Fraction:
                 f = m[i][c] / m[c][c]
                 m[i] = [v - f * w for v, w in zip(m[i], m[c])]
     return det
+
+
+def sylvester_matrix(a: list[int], b: list[int]) -> list[list[int]]:
+    """Reference: the Sylvester matrix of two univariate polynomials, whose
+    determinant is their resultant.  Coefficient lists run low to high
+    degree with nonzero leading entries."""
+    assert a and b and a[-1] and b[-1]
+    da, db = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (db - 1 - i) for i in range(db)]
+    return rows + [[0] * i + b[::-1] + [0] * (da - 1 - i) for i in range(da)]
 
 
 def rand_matrix(rng: random.Random, nr: int, nc: int, density=0.5) -> list[list[int]]:

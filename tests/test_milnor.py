@@ -7,17 +7,16 @@ import itertools
 import random
 import re
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_changes
 
 import akforge.milnor as milnor_mod
-from akforge._modp import primes_from_seed
+from akforge._modp import primes_from_seed, seeded_primes
 from akforge.errors import (
     BudgetExceeded,
     GenericityFailure,
@@ -162,7 +161,7 @@ def test_resultant_degree_within_total_degree_bound(monkeypatch):
         interpolants.append(interpolate(*args))
         return interpolants[-1]
 
-    def sample(P, Q, count, p=None):
+    def sample(P, Q, count, p):
         if widen:  # the count from the x-degrees alone
             (py, px), (qy, qx) = ((max(L), max(map(max, L.values()))) for L in (P, Q))
             count = qy * px + py * qx + 1
@@ -237,6 +236,49 @@ def test_modular_resultant_takes_the_exact_path_when_both_primes_divide_a_partia
     assert r == MilnorReport(2, "resultant", 2, "exact")
 
 
+def test_primes_from_seed_are_the_first_seeded_primes():
+    first = list(itertools.islice(seeded_primes(), 12))
+    assert len(set(first)) == 12
+    for n in (0, 1, 2, 12):
+        assert primes_from_seed(n) == tuple(first[:n])
+    assert primes_from_seed(3, seed=31415) == tuple(itertools.islice(seeded_primes(31415), 3))
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "modular"])
+@pytest.mark.parametrize(
+    "text, mu",
+    [
+        # Res_y(f_x, f_y) = f_x = 3*p1*x^2 + 4*x^3, valuation 3 mod p1
+        ("y^2 + {p1}*x^3 + x^4", 2),
+        # Res_y(f_x, f_y) = 8*x*(x + p1)^2, valuation 3 mod p1; the bound on
+        # its coefficients takes 2 bits from f_x and 2*33 from f_y
+        ("x^2 + x*y^2 + {p1}*y^2", 1),
+    ],
+    ids=["y^2+p1*x^3+x^4", "x^2+x*y^2+p1*y^2"],
+)
+def test_exact_resultant_when_the_first_prime_divides_the_coefficient_at_the_valuation(
+    arithmetic, text, mu
+):
+    # the exact path needs more primes than p1; modular disagrees and falls back
+    (p1,) = primes_from_seed(1)
+    f = parse_poly(text.format(p1=p1))
+    assert milnor_resultant(f, arithmetic=arithmetic) == MilnorReport(mu, "resultant", mu, "exact")
+    assert milnor_fulton(f).mu == mu
+
+
+def test_exact_resultant_on_nonlinear_criterion_6c_germs(monkeypatch):
+    # Changes of y^2 + x^(k+1) with quadratic terms (degrees 20, 27 and 27):
+    # resultants of high x-degree with large coefficients, so the exact path
+    # needs many primes.  Fulton's reduction passes its term budget on the
+    # last two, and answers within 0.2 s with the budget lifted.
+    monkeypatch.setattr(milnor_mod, "FULTON_TERM_BUDGET", 10**5)
+    changes = _random_changes(random.Random(6336), 110, 15)
+    for i in (16, 59, 76):
+        k, f = changes[i]
+        assert milnor_resultant(f, arithmetic="exact") == MilnorReport(k, "resultant", k, "exact")
+        assert milnor_fulton(f).mu == k
+
+
 @pytest.mark.parametrize("arithmetic", ["exact", "modular", "auto"])
 def test_resultant_skips_a_shear_that_kills_f_y(arithmetic):
     # f = u^2 + u^3 with u = x - 50*y is constant along the shear t = 50, so
@@ -254,69 +296,14 @@ def test_resultant_smooth_germ_constant_along_a_shear(arithmetic):
     assert milnor_resultant(f, arithmetic=arithmetic) == MilnorReport(0, "resultant", 0, "exact")
 
 
-def _interp_valuation_fraction(points: list[int], values: list[int]) -> int | None:
-    """Reference: the Fraction divided differences and monomial expansion
-    that _interp_valuation_exact replaced with integer arithmetic."""
-    n = len(points)
-    coef = [Fraction(v) for v in values]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
-    poly = [coef[n - 1]]
-    for j in range(n - 2, -1, -1):
-        xj = points[j]
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for i, v in enumerate(poly):
-            nxt[i + 1] += v
-            nxt[i] -= xj * v
-        nxt[0] += coef[j]
-        poly = nxt
-    for i, v in enumerate(poly):
-        if v:
-            return i
-    return None
-
-
-@st.composite
-def integer_polys_at_nodes(draw):
-    """An integer polynomial (maybe zero, maybe of high valuation) and its
-    values at increasing nodes t >= 1 with gaps, at least one more node
-    than its degree."""
-    low = [0] * draw(st.integers(0, 12))
-    body = draw(st.lists(st.integers(-(10**6), 10**6), max_size=10))
-    coeffs = low + body
-    n = max(1, len(coeffs) + draw(st.integers(0, 3)))
-    points = list(itertools.accumulate(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))))
-    values = [sum(c * t**i for i, c in enumerate(coeffs)) for t in points]
-    return coeffs, points, values
-
-
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(integer_polys_at_nodes())
-@example(([0, 0, 0], [1, 3, 4], [0, 0, 0]))  # the zero polynomial
-@example(([0] * 9 + [-5], list(range(2, 22, 2)), [-5 * t**9 for t in range(2, 22, 2)]))
-def test_exact_interpolation_matches_the_fraction_reference(case):
-    coeffs, points, values = case
-    want = next((i for i, c in enumerate(coeffs) if c), None)
-    assert _interp_valuation_fraction(points, values) == want
-    assert milnor_mod._interp_valuation_exact(points, values) == want
-
-
-def test_exact_interpolation_rejects_values_from_no_integer_polynomial():
-    # x(x - 1)/2 is integer-valued at 1, 2, 3 but not in Z[x]: its second
-    # divided difference is 1/2
-    with pytest.raises(AssertionError):
-        milnor_mod._interp_valuation_exact([1, 2, 3], [0, 1, 3])
-
-
-def _big_integer_sample_points(P, Q, count: int, p: int | None = None) -> list[int]:
+def _big_integer_sample_points(P, Q, count: int, p: int) -> list[int]:
     """Reference: the first run of ``count`` consecutive t >= 1, tested on exact values."""
     lcs = [L[max(L)] for L in (P, Q)]
     t = 1
     while True:
         run = range(t, t + count)
         values = [[sum(c * u**i for i, c in lc.items()) for lc in lcs] for u in run]
-        bad = [u for u, vs in zip(run, values) if not all(v % p if p else v for v in vs)]
+        bad = [u for u, vs in zip(run, values) if not all(v % p for v in vs)]
         if not bad:
             return list(run)
         t = bad[-1] + 1
@@ -326,7 +313,7 @@ def test_modular_sample_points_match_the_big_integer_test(monkeypatch):
     calls = []
     sample_points = milnor_mod._sample_points
 
-    def spy(P, Q, count, p=None):
+    def spy(P, Q, count, p):
         calls.append((P, Q, count))
         return sample_points(P, Q, count, p)
 
@@ -353,20 +340,38 @@ def _layers(text: str) -> dict[int, dict[int, int]]:
 
 
 def test_sample_points_start_after_a_zero_of_a_leading_coefficient():
-    # lc_y(P) = x - 2 vanishes at t = 2 over Z.  Mod 13 only, x + 11 vanishes
-    # at t = 2, 15, 28, ... and x + 6 at t = 7, 20, ...: runs 3..6 and 8..14
+    # lc_y(P) = x - 2 vanishes at t = 2 mod every prime.  Mod 13 only, x + 11
+    # vanishes at t = 2, 15, ... and x + 6 at t = 7, 20, ...: runs 3..6 and 8..12
+    (p1,) = primes_from_seed(1)
     Q = _layers("y^2 + x^3")
-    assert milnor_mod._sample_points(_layers("(x - 2)*y^3 + x^4"), Q, 5) == [3, 4, 5, 6, 7]
+    assert milnor_mod._sample_points(_layers("(x - 2)*y^3 + x^4"), Q, 5, p1) == [3, 4, 5, 6, 7]
     P13, Q13 = _layers("(x + 11)*y^3 + x^4"), _layers("(x + 6)*y^2 + x^3")
-    assert milnor_mod._sample_points(P13, Q13, 5) == [1, 2, 3, 4, 5]
+    assert milnor_mod._sample_points(P13, Q13, 5, p1) == [1, 2, 3, 4, 5]
     assert milnor_mod._sample_points(P13, Q13, 4, 13) == [3, 4, 5, 6]
     assert milnor_mod._sample_points(P13, Q13, 5, 13) == [8, 9, 10, 11, 12]
-    assert milnor_mod._sample_points(P13, Q13, 7, 13) == list(range(8, 15))
-    for count in (1, 2, 4, 5, 7):
-        for p in (None, 13):
+    for count in (1, 2, 4, 5):
+        for p in (p1, 13):
             assert milnor_mod._sample_points(P13, Q13, count, p) == _big_integer_sample_points(
                 P13, Q13, count, p
             )
+    # the run 8..14 would pass 13: the points must stay below p
+    with pytest.raises(ValueError, match="mod p = 13 by t = 12"):
+        milnor_mod._sample_points(P13, Q13, 7, 13)
+
+
+def test_sample_points_raise_at_once_when_no_run_can_exist():
+    # x + 11 vanishes at t = 2 mod 13, and 13 points cannot lie in [1, 12] anyway
+    P, Q = _layers("(x + 11)*y^3 + x^4"), _layers("y^2 + x^3")
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="no run of 13 sample points mod p = 13"):
+        milnor_mod._sample_points(P, Q, 13, 13)
+    # a leading coefficient 3*p1 vanishes at every t mod p1; x^3 and 3*p1 of
+    # degrees 3 and 0 could leave no more than 3 roots otherwise, and a run
+    # of 5 would then be complete by t = (3 + 1) * 5
+    (p1,) = primes_from_seed(1)
+    with pytest.raises(ValueError, match=f"no run of 5 sample points mod p = {p1} by t = 20"):
+        milnor_mod._sample_points(_layers("x^3"), _layers(f"{3 * p1}*y^2"), 5, p1)
+    assert time.perf_counter() - t0 < 0.1
 
 
 @pytest.mark.parametrize("arithmetic", ["exact", "modular"])
