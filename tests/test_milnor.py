@@ -250,8 +250,8 @@ def test_primes_from_seed_are_the_first_seeded_primes():
     [
         # Res_y(f_x, f_y) = f_x = 3*p1*x^2 + 4*x^3, valuation 3 mod p1
         ("y^2 + {p1}*x^3 + x^4", 2),
-        # Res_y(f_x, f_y) = 8*x*(x + p1)^2, valuation 3 mod p1; the bound on
-        # its coefficients takes 2 bits from f_x and 2*33 from f_y
+        # Res_y(f_x, f_y) = 8*x*(x + p1)^2, valuation 3 mod p1; of the bound's
+        # bits, qy*bitlen(||f_x||_1) = 2 and py*bitlen(||f_y||_1) = 2*33
         ("x^2 + x*y^2 + {p1}*y^2", 1),
     ],
     ids=["y^2+p1*x^3+x^4", "x^2+x*y^2+p1*y^2"],
