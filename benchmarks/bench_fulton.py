@@ -1,19 +1,21 @@
-"""Timing of Fulton's Milnor oracle on the family, its frontier, and the cold CLI.
+"""Timing of Fulton's Milnor oracle on a decade ladder of the family, and the cold CLI.
 
-    PYTHONPATH=src python3 benchmarks/bench_fulton.py
-    PYTHONPATH=src python3 benchmarks/bench_fulton.py --before-src <other checkout>/src
+    PYTHONPATH=src python3 benchmarks/bench_fulton.py --label after
+    PYTHONPATH=<other checkout>/src python3 benchmarks/bench_fulton.py --label before
 
-Times ``milnor_fulton(F(s))`` at s = 0, 1, 2, 4, 20, 200 and 1000 (median
-of three runs; building F(s) is not timed) and checks each value against
-k(s) = 420s^2 + 269s + 42.  The frontier is the largest s whose cross-check
-finishes within 1 s and within 10 s: s doubles from 1000 until one run takes
-longer than the budget, then the interval is bisected to 2% (one run per
-probe).  The cold CLI is ``python -m akforge milnor --poly F(0)`` in a new
-interpreter, the text being the oracle-crosscheck benchmark workload's; with
---before-src the same command also runs against that checkout's sources, the
-two alternating, and each side reports the median of its runs, what it
-printed and whether ``import akforge.cli`` loads numpy.  The record, with
-the environment, is written to ``benchmarks/BENCH_fulton.json``.
+Times ``milnor_fulton(F(s))`` at s = 10^0, 10^1, ..., 10^7 (building F(s)
+is not timed) and checks each value against k(s) = 420s^2 + 269s + 42.
+Each s runs up to three times, stopping once 10 s have been spent on it;
+the median run is reported.  A run still going after 60 s is stopped
+(``signal.alarm``); it is recorded as stopped, and the larger s as
+skipped.  The frontier is the largest s of the ladder finished within 1 s
+and within 10 s.  The cold CLI is ``python -m akforge milnor --poly F(0)``
+in a new interpreter, the text being the oracle-crosscheck benchmark
+workload's: the median of seven runs, what it printed and whether
+``import akforge.cli`` loads numpy.  The record, with the environment, is
+stored under ``runs[<label>]`` of ``benchmarks/BENCH_fulton.json``;
+records under other labels are kept, so one file holds the numbers of two
+checkouts.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -31,16 +34,25 @@ import akforge
 from akforge.family import build_F, family_params
 from akforge.milnor import milnor_fulton
 
-from _common import checkout, environment
+from _common import environment, store
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import family_text  # noqa: E402
 
 OUT = Path(__file__).resolve().parent / "BENCH_fulton.json"
-LADDER = (0, 1, 2, 4, 20, 200, 1000)
+LADDER = tuple(10**e for e in range(8))
 BUDGETS_S = (1.0, 10.0)
+STOP_AFTER_S = 60
 CLI_RUNS = 7
+
+
+class OverLimit(Exception):
+    """Raised in a run that passes STOP_AFTER_S."""
+
+
+def _over_limit(signum, frame):
+    raise OverLimit
 
 
 def cross_check(s: int) -> float:
@@ -54,38 +66,31 @@ def cross_check(s: int) -> float:
     return elapsed
 
 
+def measure(s: int) -> dict:
+    runs: list[float] = []
+    while len(runs) < 3 and sum(runs) < 10.0:
+        signal.alarm(STOP_AFTER_S)
+        try:
+            runs.append(cross_check(s))
+        except OverLimit:
+            return {"stopped": f"one run passed {STOP_AFTER_S} s"}
+        finally:
+            signal.alarm(0)
+    return {"k": family_params(s).k, "seconds": round(statistics.median(runs), 5), "repeats": len(runs)}
+
+
 def ladder() -> dict:
-    out = {}
+    out: dict[str, dict] = {}
     for s in LADDER:
-        seconds = statistics.median(cross_check(s) for _ in range(3))
-        out[str(s)] = {"k": family_params(s).k, "seconds": round(seconds, 5)}
+        if any("stopped" in row for row in out.values()):
+            out[str(s)] = {
+                "skipped": f"a smaller s was stopped after {STOP_AFTER_S} s, "
+                "so the larger s were not run"
+            }
+        else:
+            out[str(s)] = measure(s)
+        print(f"s={s}", json.dumps(out[str(s)]), flush=True)
     return out
-
-
-def frontier(budget_s: float) -> dict:
-    lo, lo_t = LADDER[-1], cross_check(LADDER[-1])
-    if lo_t > budget_s:
-        raise AssertionError(f"F({lo}) already takes {lo_t:.2f} s")
-    hi = None
-    while hi is None:
-        t = cross_check(2 * lo)
-        if t > budget_s:
-            hi = 2 * lo
-        else:
-            lo, lo_t = 2 * lo, t
-    while hi - lo > max(1, lo // 50):
-        mid = (lo + hi) // 2
-        t = cross_check(mid)
-        if t > budget_s:
-            hi = mid
-        else:
-            lo, lo_t = mid, t
-    return {
-        "largest_s": lo,
-        "k": family_params(lo).k,
-        "seconds": round(lo_t, 3),
-        "first_s_over": hi,
-    }
 
 
 def cli_run(src: Path, argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
@@ -95,50 +100,44 @@ def cli_run(src: Path, argv: list[str]) -> tuple[float, subprocess.CompletedProc
     return time.perf_counter() - t0, proc
 
 
-def cold_cli(sides: dict[str, Path]) -> dict:
-    argv = ["-m", "akforge", "milnor", "--poly", family_text(0)]
-    times: dict[str, list[float]] = {label: [] for label in sides}
-    printed = {}
+def cold_cli(src: Path) -> dict:
+    times = []
     for _ in range(CLI_RUNS):
-        for label, src in sides.items():
-            elapsed, proc = cli_run(src, argv)
-            times[label].append(elapsed)
-            ok = proc.returncode == 0
-            printed[label] = json.loads(proc.stdout) if ok else proc.stderr.decode()
+        elapsed, proc = cli_run(src, ["-m", "akforge", "milnor", "--poly", family_text(0)])
+        times.append(elapsed)
+    printed = json.loads(proc.stdout) if proc.returncode == 0 else proc.stderr.decode()
     probe = ["-c", "import sys, akforge.cli; print('numpy' in sys.modules)"]
-    out = {}
-    for label, src in sides.items():
-        loads = cli_run(src, probe)[1].stdout.decode().strip() == "True"
-        out[label] = {
-            **checkout(src),
-            "median_s": round(statistics.median(times[label]), 4),
-            "runs": CLI_RUNS,
-            "printed": printed[label],
-            "import_loads_numpy": loads,
-        }
-    return out
+    return {
+        "median_s": round(statistics.median(times), 4),
+        "runs": CLI_RUNS,
+        "printed": printed,
+        "import_loads_numpy": cli_run(src, probe)[1].stdout.decode().strip() == "True",
+    }
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument(
-        "--before-src", type=Path, help="src/ of the checkout to compare the cold CLI with"
-    )
+    ap.add_argument("--label", required=True, help="key of this record in the JSON")
     args = ap.parse_args()
+    signal.signal(signal.SIGALRM, _over_limit)
     milnor_fulton(build_F(0).F)  # warm-up
-    record = {"environment": environment(), "akforge": checkout(Path(akforge.__file__).parent)}
-    record["fulton_seconds"] = ladder()
-    print("ladder", json.dumps(record["fulton_seconds"]), flush=True)
-    record["frontier"] = {}
-    for budget in BUDGETS_S:
-        row = record["frontier"][f"within_{budget:g}_s"] = frontier(budget)
-        print("frontier", budget, json.dumps(row), flush=True)
-    sides = {"after": Path(akforge.__file__).resolve().parents[1]}
-    if args.before_src is not None:
-        sides = {"before": args.before_src.resolve(), **sides}
-    record["cold_cli_milnor_F0"] = cold_cli(sides)
+    record = {
+        "environment": environment(),
+        "medians_over": "up to 3 runs per s, stopping after 10 s",
+        "fulton_seconds": ladder(),
+    }
+    record["frontier"] = {
+        f"largest_s_within_{budget:g}s": max(
+            (int(s) for s, row in record["fulton_seconds"].items()
+             if row.get("seconds", budget + 1) <= budget),
+            default=None,
+        )
+        for budget in BUDGETS_S
+    }
+    print("frontier", json.dumps(record["frontier"]), flush=True)
+    record["cold_cli_milnor_F0"] = cold_cli(Path(akforge.__file__).resolve().parents[1])
     print("cold CLI", json.dumps(record["cold_cli_milnor_F0"]), flush=True)
-    OUT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    store(OUT, args.label, record)
 
 
 if __name__ == "__main__":

@@ -29,10 +29,7 @@ from akforge.errors import (
     AkforgeError,
     BudgetExceeded,
     CertificationFailed,
-    GenericityFailure,
     InvalidInput,
-    NonIsolated,
-    NotACriticalGerm,
     PolySyntaxError,
 )
 from akforge.family import certify_member
@@ -211,13 +208,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"x^{monomial.ex} z^{monomial.ey}\n"
                 )
         return 1
-    except (NonIsolated, GenericityFailure, NotACriticalGerm) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (PolySyntaxError, InvalidInput) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, ValueError) as exc:
+    except (PolySyntaxError, InvalidInput, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AkforgeError as exc:

@@ -17,10 +17,11 @@ to y.  Each sheared partial is scaled to integer coefficients once and kept
 as y-layers {j: {i: c}}, the form every later step reads.  There is one
 engine, at one prime p: evaluation at one run of consecutive sample points
 mod p, a division-free batched Euclid, and interpolation by forward
-differences.  The modular path runs it at two seeded primes and reports
-their agreement.  The exact path runs it at as many seeded primes as a
-bound on the coefficients of Res_y needs to prove the valuation (the
-classic modular resultant of Collins and Brown, JACM 18, 1971).
+differences.  One loop runs it over the seeded primes, once each: the
+modular path stops at the first two where they agree and reports their
+agreement; the exact path goes on until a bound on the coefficients of
+Res_y proves the valuation (the classic modular resultant of Collins and
+Brown, JACM 18, 1971).
 
 Fulton's algorithm: the Milnor number is the intersection multiplicity
 I_0(f_x, f_y), reduced step by step with the rules that define it
@@ -41,7 +42,7 @@ from math import gcd, lcm
 
 from ._exactrank import rank_profile_sparse
 from ._modp import eval_x_batch, interpolate_monomial, resultant_batch
-from ._modp import primes_from_seed, seeded_primes
+from ._modp import seeded_primes
 # Unused here; kept because perfbench/spans.py patches milnor.det_bareiss and
 # milnor.rank_profile_mod_p by name.
 from ._exactrank import det_bareiss  # noqa: F401
@@ -270,39 +271,43 @@ def _modular_valuation(P, Q, count: int, p: int) -> int | None:
     return int(nz[0]) if nz.size else None
 
 
-def _admits(P, Q, p: int) -> bool:
-    """Whether p divides no leading y-coefficient of P or Q outright."""
-    return all(any(c % p for c in L[max(L)].values()) for L in (P, Q))
-
-
-def _exact_valuation(P, Q, count: int) -> int | None:
-    """x-valuation of Res_y(P, Q) in Z[x], or None where Res_y(P, Q) = 0:
-    the least _modular_valuation over enough seeded primes.
+def _resultant_valuation(P, Q, count: int, modular: bool) -> tuple[int | None, str]:
+    """x-valuation of Res_y(P, Q) in Z[x], or None where Res_y(P, Q) = 0,
+    and its arithmetic label: the least _modular_valuation over the seeded
+    primes, each prime's computed once.
 
     Every coefficient of Res_y(P, Q) is at most B = ||P||_1^qy * ||Q||_1^py
     in absolute value, with ||.||_1 the sum of the absolute values of the
     coefficients and py, qy the y-degrees: expand the Sylvester determinant
     row by row, qy rows holding the y-coefficients of P and py those of Q.
-    So B < 2^bits.  Mod a prime that divides no leading y-coefficient
-    outright, the sample points keep both y-degrees, so the interpolant
-    through ``count`` > deg_x Res_y points is Res_y(P, Q) mod p, and its
-    valuation is at least the true one, v.  Once the primes used multiply
-    past 2^bits, the nonzero coefficient at x^v survives mod one of them,
-    so v is the least valuation seen; and if all give the zero interpolant,
+    So B < 2^bits.  A prime that divides a leading y-coefficient outright
+    leaves no sample point, so it is skipped.  Mod any other prime, the
+    sample points keep both y-degrees, so the interpolant through
+    ``count`` > deg_x Res_y points is Res_y(P, Q) mod p, and its valuation
+    is at least the true one, v.  Once the admitted primes multiply past
+    2^bits, the nonzero coefficient at x^v survives mod one of them, so v
+    is the least valuation seen; and if all give the zero interpolant,
     every coefficient is a multiple of a number above B, so Res_y(P, Q) = 0.
+    That answer is labelled "exact".
+
+    With ``modular``, the loop stops after the second seeded prime where
+    the first two seeded primes were both admitted and agree (None == None
+    included), and labels the answer two-prime-modular(p1,p2): agreement,
+    not proof.  Otherwise it goes on to the bound as above, but never stops
+    before the second seeded prime has been tried.
     """
     norm_p, norm_q = (sum(abs(c) for row in L.values() for c in row.values()) for L in (P, Q))
     bits = max(Q) * norm_p.bit_length() + max(P) * norm_q.bit_length()
-    val, product = None, 1
-    for p in seeded_primes():
-        if not _admits(P, Q, p):
-            continue
-        v = _modular_valuation(P, Q, count, p)
-        if v is not None:
-            val = v if val is None else min(val, v)
-        product *= p
-        if product >> bits:
-            return val
+    seen: list[tuple[int, int | None]] = []  # (p, valuation) at each admitted prime
+    product = 1
+    for tried, p in enumerate(seeded_primes(), 1):
+        if all(any(c % p for c in L[max(L)].values()) for L in (P, Q)):
+            seen.append((p, _modular_valuation(P, Q, count, p)))
+            product *= p
+        if modular and tried == 2 and len(seen) == 2 and seen[0][1] == seen[1][1]:
+            return seen[0][1], "two-prime-modular({},{})".format(seen[0][0], seen[1][0])
+        if product >> bits and not (modular and tried < 2):
+            return min((v for _, v in seen if v is not None), default=None), "exact"
 
 
 def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport:
@@ -329,13 +334,13 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     of consecutive integers (the first such run from 1), so the
     interpolation takes forward differences and needs no inverse of a gap.
 
-    Both arithmetics run one engine, _modular_valuation, a prime at a time.
+    Both arithmetics run one loop over the seeded primes,
+    _resultant_valuation, with one engine, _modular_valuation, at each.
     "modular" reports two-prime-modular(p1,p2) where the first two seeded
     primes agree; a disagreement, or a prime that divides a leading
-    y-coefficient outright, takes the exact path.  "exact" goes on through
-    the seeded primes until their product proves the valuation
-    (_exact_valuation); AKFORGE_PRIME_SEED picks the primes but cannot
-    change the answer.
+    y-coefficient outright, lets the loop go on as "exact" does, until the
+    product of the primes proves the valuation.  AKFORGE_PRIME_SEED picks
+    the primes but cannot change a proven answer.
 
     The resultant is interpolated through deg_x Res + 1 sample points, with
 
@@ -380,24 +385,12 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
         (mx, py, m), (nx, qy, n) = _degrees(X), _degrees(Y)
         bound = qy * mx + py * nx
         count = min(bound, qy * m + py * n - py * qy) + 1
-        mode = arithmetic
-        if mode == "auto":
-            mode = "exact" if bound <= _EXACT_RESULTANT_LIMIT else "modular"
-        arith_used = "exact"
-        if mode == "modular":
-            p1, p2 = primes_from_seed(2)
-            # A prime that divides a leading y-coefficient outright leaves no
-            # sample point, so it cannot witness; nor can two primes that
-            # disagree.  Both cases take the exact path.
-            if _admits(P, Q, p1) and _admits(P, Q, p2):
-                v1 = _modular_valuation(P, Q, count, p1)
-                if v1 == _modular_valuation(P, Q, count, p2):
-                    val, arith_used = v1, f"two-prime-modular({p1},{p2})"
-        if arith_used == "exact":
-            val = _exact_valuation(P, Q, count)
+        if arithmetic == "auto":
+            arithmetic = "exact" if bound <= _EXACT_RESULTANT_LIMIT else "modular"
+        val, label = _resultant_valuation(P, Q, count, arithmetic == "modular")
         if val is None:
             raise NonIsolated("the partials share a factor: resultant is identically zero")
-        return MilnorReport(val, RESULTANT_METHOD, val, arith_used)
+        return MilnorReport(val, RESULTANT_METHOD, val, label)
     raise GenericityFailure(f"no admissible shear found in {len(_SHEARS)} attempts")
 
 
@@ -414,7 +407,9 @@ def milnor_fulton(f: SparsePoly) -> MilnorReport:
     - a nonzero constant term makes P or Q a unit at the origin, so the
       rest contributes 0 and the total is returned (checked first, so
       that ``x`` and ``x + y^2`` give 0);
-    - if Q_0 = 0 then Q = y*D and I_0(P, Q) = ord_x P_0 + I_0(P, D);
+    - if Q_0 = 0 then Q = y^e*D with D(x, 0) != 0, and
+      I_0(P, Q) = e*ord_x P_0 + I_0(P, D) by additivity and
+      I_0(P, y) = ord_x P_0, in one step;
     - otherwise, with r = deg P_0 <= s = deg Q_0 (after a swap),
       Q <- lc(P_0)*Q - lc(Q_0)*x^(s-r)*P lowers deg Q_0, and the content of
       the new Q is divided out.
@@ -448,13 +443,14 @@ def milnor_fulton(f: SparsePoly) -> MilnorReport:
                     "y divides both reduced partials: the line y = 0 is a common "
                     "component, so the singularity is not isolated"
                 )
-            mu += min(p0)
+            e = min(j for _, j in Q)
+            mu += e * min(p0)
             if mu > bezout:
                 raise NonIsolated(
                     f"the intersection multiplicity passed the Bezout bound "
                     f"mu <= (d-1)^2 = {bezout}: the singularity is not isolated"
                 )
-            Q = {(i, j - 1): c for (i, j), c in Q.items()}
+            Q = {(i, j - e): c for (i, j), c in Q.items()}
             continue
         r, s = max(p0), max(q0)
         if r > s:

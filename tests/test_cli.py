@@ -83,6 +83,68 @@ def test_certify_syntax_error_exit_2(capsys):
     assert code == 2 and out == "" and "position 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (  # NonIsolated
+            ["milnor", "--poly", "(y-x^2)^2"],
+            1,
+            "error: the partials reduce to 0 modulo each other: they share a component "
+            "through the origin, so the singularity is not isolated\n",
+        ),
+        (  # GenericityFailure
+            ["milnor", "--modular", "--poly", "(y-x^2)^2"],
+            1,
+            "error: no admissible shear found in 8 attempts\n",
+        ),
+        (  # NotACriticalGerm
+            ["certify", "--poly", "1+x^2"],
+            1,
+            "error: the germ must vanish at the origin\n",
+        ),
+        (  # PreconditionViolated
+            ["milnor", "--poly", "1+y^2+x^3"],
+            1,
+            "error: the germ must vanish at the origin\n",
+        ),
+        (  # PolySyntaxError
+            ["certify", "--poly", "x$y"],
+            2,
+            "error: unexpected character '$' (at position 1)\n",
+        ),
+        (  # InvalidInput
+            ["construct", "--s", "-1"],
+            2,
+            "error: family index must be an integer >= 0, got -1\n",
+        ),
+        (  # OSError
+            ["certify", "--poly", "@missing.json"],
+            2,
+            "error: [Errno 2] No such file or directory: 'missing.json'\n",
+        ),
+        (  # ValueError
+            ["certify", "--poly", "@bad.json"],
+            2,
+            "error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n",
+        ),
+    ],
+    ids=[
+        "non-isolated",
+        "no-admissible-shear",
+        "not-critical",
+        "off-the-origin",
+        "syntax-error",
+        "invalid-input",
+        "missing-file",
+        "bad-json",
+    ],
+)
+def test_error_exit_code_and_message(capsys, monkeypatch, tmp_path, argv, code, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{")
+    assert run(capsys, *argv) == (code, "", err)
+
+
 def test_poly_from_json_file(capsys, tmp_path):
     path = tmp_path / "cusp.json"
     path.write_text(json.dumps(parse_poly("y^2 + x^3").to_json_dict()))

@@ -266,6 +266,25 @@ def test_exact_resultant_when_the_first_prime_divides_the_coefficient_at_the_val
     assert milnor_fulton(f).mu == mu
 
 
+def test_modular_resultant_runs_the_engine_once_per_prime(monkeypatch):
+    # on y^2 + p1*x^3 + x^4, p1 and p2 disagree (3 against 2), and the
+    # modular arithmetic goes on as the exact one does, without recomputing
+    # the valuations at p1 and p2
+    p1, p2 = primes_from_seed(2)
+    f = parse_poly(f"y^2 + {p1}*x^3 + x^4")
+    engine = milnor_mod._modular_valuation
+    for arithmetic in ("exact", "modular"):
+        primes = []
+
+        def spy(P, Q, count, p):
+            primes.append(p)
+            return engine(P, Q, count, p)
+
+        monkeypatch.setattr(milnor_mod, "_modular_valuation", spy)
+        assert milnor_resultant(f, arithmetic=arithmetic) == MilnorReport(2, "resultant", 2, "exact")
+        assert primes == [p1, p2]
+
+
 def test_exact_resultant_on_nonlinear_criterion_6c_germs(monkeypatch):
     # Changes of y^2 + x^(k+1) with quadratic terms (degrees 20, 27 and 27):
     # resultants of high x-degree with large coefficients, so the exact path
@@ -574,8 +593,17 @@ def test_fulton_agrees_with_both_oracles_at_F0_and_on_criterion_6_germs():
 
 
 def test_fulton_cross_checks_F200():
-    # 7,032 reduction steps on polynomials of at most 46 terms
+    # 40 rule steps on polynomials of at most 46 terms
     assert milnor_fulton(build_F(200).F).mu == family_params(200).k == 16853842
+
+
+def test_fulton_cross_checks_F100000_within_a_second():
+    # Q loses its whole power of y in one step, so the number of steps does
+    # not grow with s; one y at a time, F(s) takes 35s + 11 of them
+    f = build_F(10**5).F
+    t0 = time.perf_counter()
+    assert milnor_fulton(f).mu == family_params(10**5).k
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize(
