@@ -76,7 +76,11 @@ def measure(s: int) -> dict:
             return {"stopped": f"one run passed {STOP_AFTER_S} s"}
         finally:
             signal.alarm(0)
-    return {"k": family_params(s).k, "seconds": round(statistics.median(runs), 5), "repeats": len(runs)}
+    return {
+        "k": family_params(s).k,
+        "seconds": round(statistics.median(runs), 5),
+        "repeats": len(runs),
+    }
 
 
 def ladder() -> dict:
@@ -121,19 +125,16 @@ def main() -> None:
     args = ap.parse_args()
     signal.signal(signal.SIGALRM, _over_limit)
     milnor_fulton(build_F(0).F)  # warm-up
+    rungs = ladder()
     record = {
         "environment": environment(),
         "medians_over": "up to 3 runs per s, stopping after 10 s",
-        "fulton_seconds": ladder(),
+        "fulton_seconds": rungs,
+        "frontier": {},
     }
-    record["frontier"] = {
-        f"largest_s_within_{budget:g}s": max(
-            (int(s) for s, row in record["fulton_seconds"].items()
-             if row.get("seconds", budget + 1) <= budget),
-            default=None,
-        )
-        for budget in BUDGETS_S
-    }
+    for budget in BUDGETS_S:
+        done = [s for s, row in rungs.items() if row.get("seconds", budget + 1) <= budget]
+        record["frontier"][f"largest_s_within_{budget:g}s"] = max(map(int, done), default=None)
     print("frontier", json.dumps(record["frontier"]), flush=True)
     record["cold_cli_milnor_F0"] = cold_cli(Path(akforge.__file__).resolve().parents[1])
     print("cold CLI", json.dumps(record["cold_cli_milnor_F0"]), flush=True)

@@ -274,7 +274,7 @@ def _modular_valuation(P, Q, count: int, p: int) -> int | None:
 def _resultant_valuation(P, Q, count: int, modular: bool) -> tuple[int | None, str]:
     """x-valuation of Res_y(P, Q) in Z[x], or None where Res_y(P, Q) = 0,
     and its arithmetic label: the least _modular_valuation over the seeded
-    primes, each prime's computed once.
+    primes, computed once at each.
 
     Every coefficient of Res_y(P, Q) is at most B = ||P||_1^qy * ||Q||_1^py
     in absolute value, with ||.||_1 the sum of the absolute values of the

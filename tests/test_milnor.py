@@ -281,7 +281,8 @@ def test_modular_resultant_runs_the_engine_once_per_prime(monkeypatch):
             return engine(P, Q, count, p)
 
         monkeypatch.setattr(milnor_mod, "_modular_valuation", spy)
-        assert milnor_resultant(f, arithmetic=arithmetic) == MilnorReport(2, "resultant", 2, "exact")
+        report = milnor_resultant(f, arithmetic=arithmetic)
+        assert report == MilnorReport(2, "resultant", 2, "exact")
         assert primes == [p1, p2]
 
 
@@ -598,8 +599,8 @@ def test_fulton_cross_checks_F200():
 
 
 def test_fulton_cross_checks_F100000_within_a_second():
-    # Q loses its whole power of y in one step, so the number of steps does
-    # not grow with s; one y at a time, F(s) takes 35s + 11 of them
+    # Q loses its whole power of y in one step, so F(s) takes 40 steps at
+    # every s >= 1
     f = build_F(10**5).F
     t0 = time.perf_counter()
     assert milnor_fulton(f).mu == family_params(10**5).k
