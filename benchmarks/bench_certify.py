@@ -21,7 +21,6 @@ records under other labels are kept.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import statistics
@@ -32,7 +31,7 @@ from akforge.classify import newton_ak_certify
 from akforge.family import build_F, certify_member, verify_eq2
 from akforge.series import Weights, compose_curve, invert_change
 
-from _common import environment, store
+from _common import environment, parse_label, store
 
 MEMBERS = (0, 1, 2, 4, 20, 100, 10**3, 10**5, 10**7)
 REPEATS = 5
@@ -78,9 +77,7 @@ def measure(s: int) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this record in the JSON")
-    args = ap.parse_args()
+    label = parse_label(__doc__)
     certify_member(0)  # warm-up
     rows = {}
     for s in MEMBERS:
@@ -91,7 +88,7 @@ def main() -> None:
         "medians_over": f"{REPEATS} runs per member",
         "cases": rows,
     }
-    store(OUT, args.label, record)
+    store(OUT, label, record)
 
 
 if __name__ == "__main__":

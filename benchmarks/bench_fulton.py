@@ -20,10 +20,8 @@ checkouts.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import signal
 import statistics
 import subprocess
 import sys
@@ -34,67 +32,29 @@ import akforge
 from akforge.family import build_F, family_params
 from akforge.milnor import milnor_fulton
 
-from _common import environment, store
-
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import family_text  # noqa: E402
+from _common import environment, frontier, median_run, parse_label, run_ladders, store, workloads
 
 OUT = Path(__file__).resolve().parent / "BENCH_fulton.json"
 LADDER = tuple(10**e for e in range(8))
-BUDGETS_S = (1.0, 10.0)
-STOP_AFTER_S = 60
 CLI_RUNS = 7
 
 
-class OverLimit(Exception):
-    """Raised in a run that passes STOP_AFTER_S."""
-
-
-def _over_limit(signum, frame):
-    raise OverLimit
-
-
-def cross_check(s: int) -> float:
-    """Seconds of one Fulton run on F(s); raises if it misses k(s)."""
+def cross_check(s: int) -> dict:
+    """The seconds of one Fulton run on F(s) as "total_s"; raises if it misses k(s)."""
     f = build_F(s).F
     t0 = time.perf_counter()
     mu = milnor_fulton(f).mu
     elapsed = time.perf_counter() - t0
     if mu != family_params(s).k:
         raise AssertionError(f"Fulton gave {mu} on F({s}), expected {family_params(s).k}")
-    return elapsed
+    return {"total_s": elapsed}
 
 
 def measure(s: int) -> dict:
-    runs: list[float] = []
-    while len(runs) < 3 and sum(runs) < 10.0:
-        signal.alarm(STOP_AFTER_S)
-        try:
-            runs.append(cross_check(s))
-        except OverLimit:
-            return {"stopped": f"one run passed {STOP_AFTER_S} s"}
-        finally:
-            signal.alarm(0)
-    return {
-        "k": family_params(s).k,
-        "seconds": round(statistics.median(runs), 5),
-        "repeats": len(runs),
-    }
-
-
-def ladder() -> dict:
-    out: dict[str, dict] = {}
-    for s in LADDER:
-        if any("stopped" in row for row in out.values()):
-            out[str(s)] = {
-                "skipped": f"a smaller s was stopped after {STOP_AFTER_S} s, "
-                "so the larger s were not run"
-            }
-        else:
-            out[str(s)] = measure(s)
-        print(f"s={s}", json.dumps(out[str(s)]), flush=True)
-    return out
+    row = median_run(lambda: cross_check(s))
+    if "stopped" in row:
+        return row
+    return {"k": family_params(s).k, "seconds": round(row["total_s"], 5), "repeats": row["repeats"]}
 
 
 def cli_run(src: Path, argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
@@ -106,8 +66,9 @@ def cli_run(src: Path, argv: list[str]) -> tuple[float, subprocess.CompletedProc
 
 def cold_cli(src: Path) -> dict:
     times = []
+    argv = ["-m", "akforge", "milnor", "--poly", workloads.family_text(0)]
     for _ in range(CLI_RUNS):
-        elapsed, proc = cli_run(src, ["-m", "akforge", "milnor", "--poly", family_text(0)])
+        elapsed, proc = cli_run(src, argv)
         times.append(elapsed)
     printed = json.loads(proc.stdout) if proc.returncode == 0 else proc.stderr.decode()
     probe = ["-c", "import sys, akforge.cli; print('numpy' in sys.modules)"]
@@ -120,25 +81,19 @@ def cold_cli(src: Path) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this record in the JSON")
-    args = ap.parse_args()
-    signal.signal(signal.SIGALRM, _over_limit)
+    label = parse_label(__doc__)
     milnor_fulton(build_F(0).F)  # warm-up
-    rungs = ladder()
+    rungs = run_ladders([(str(s), "s", s) for s in LADDER], measure, prefix="s=")
     record = {
         "environment": environment(),
         "medians_over": "up to 3 runs per s, stopping after 10 s",
         "fulton_seconds": rungs,
-        "frontier": {},
+        "frontier": frontier(rungs, "seconds"),
     }
-    for budget in BUDGETS_S:
-        done = [s for s, row in rungs.items() if row.get("seconds", budget + 1) <= budget]
-        record["frontier"][f"largest_s_within_{budget:g}s"] = max(map(int, done), default=None)
     print("frontier", json.dumps(record["frontier"]), flush=True)
     record["cold_cli_milnor_F0"] = cold_cli(Path(akforge.__file__).resolve().parents[1])
     print("cold CLI", json.dumps(record["cold_cli_milnor_F0"]), flush=True)
-    store(OUT, args.label, record)
+    store(OUT, label, record)
 
 
 if __name__ == "__main__":

@@ -27,12 +27,9 @@ one file holds the numbers of two checkouts.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
-import sys
 import time
-from collections import defaultdict
 from pathlib import Path
 
 import akforge.milnor as milnor
@@ -40,12 +37,11 @@ from akforge.bounds import steenbrink_inertia, upper_bound
 from akforge.family import build_F
 from akforge.poly import parse_poly
 
-from _common import environment, store
+from _common import Wrap, environment, parse_label, store, workloads, wrapped
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import make_inputs  # noqa: E402
-
+NO_LAYERS = Wrap(milnor, ())
+EXACT_LAYERS = Wrap(milnor, ("_modular_valuation",))
+MODULAR_LAYERS = Wrap(milnor, ("_sample_points", "interpolate_monomial"))
 SEED = 101
 REPEATS = 5
 OUT = Path(__file__).resolve().parent / "BENCH_kernels.json"
@@ -58,65 +54,47 @@ def bound_table() -> list[str]:
 def resultant_germs() -> list:
     germs = [
         parse_poly(inp["poly"])
-        for inp in make_inputs("oracle-crosscheck", SEED)
+        for inp in workloads.make_inputs("oracle-crosscheck", SEED)
         if inp["op"] == "resultant" and "poly" in inp
     ]
     return germs + [build_F(0).F]
 
 
-def measure(run, layers: tuple[str, ...] = ()) -> dict:
+def measure(run, layers: Wrap = NO_LAYERS) -> dict:
     """Warm up once, then time ``run()`` REPEATS times with ``layers`` wrapped."""
     results = run()
     totals, spent_runs = [], []
-    originals = {name: getattr(milnor, name) for name in layers}
     for _ in range(REPEATS):
-        spent: dict[str, float] = defaultdict(float)
-
-        def wrap(name, fn):
-            def inner(*args, **kwargs):
-                t0 = time.perf_counter()
-                out = fn(*args, **kwargs)
-                spent[name] += time.perf_counter() - t0
-                return out
-
-            return inner
-
-        for name, fn in originals.items():
-            setattr(milnor, name, wrap(name, fn))
-        try:
+        with wrapped(layers) as calls:
             t0 = time.perf_counter()
             again = run()
             totals.append(time.perf_counter() - t0)
-        finally:
-            for name, fn in originals.items():
-                setattr(milnor, name, fn)
         assert again == results, "results changed between repeats"
-        spent_runs.append(spent)
+        spent_runs.append(calls.seconds)
     return {
         "runs_s": [round(t, 4) for t in totals],
         "median_s": round(statistics.median(totals), 4),
         "layers_median_s": {
-            name: round(statistics.median(s[name] for s in spent_runs), 4) for name in layers
+            name: round(statistics.median(s[name] for s in spent_runs), 4)
+            for name in layers.names
         },
         "results": results,
     }
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this record in the JSON")
-    args = ap.parse_args()
+    label = parse_label(__doc__)
     germs = resultant_germs()
     F1 = build_F(1).F
     cases = {
         "bound_table_d200": measure(bound_table),
         "resultant_exact_germs_and_F0": measure(
             lambda: [repr(milnor.milnor_resultant(f, arithmetic="exact")) for f in germs],
-            ("_modular_valuation",),
+            EXACT_LAYERS,
         ),
         "resultant_modular_F1": measure(
             lambda: [repr(milnor.milnor_resultant(F1, arithmetic="modular"))],
-            ("_sample_points", "interpolate_monomial"),
+            MODULAR_LAYERS,
         ),
     }
     for name, row in cases.items():
@@ -126,7 +104,7 @@ def main() -> None:
         "medians_over": f"{REPEATS} runs after one warm-up run",
         "cases": cases,
     }
-    store(OUT, args.label, record)
+    store(OUT, label, record)
 
 
 if __name__ == "__main__":

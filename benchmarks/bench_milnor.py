@@ -12,7 +12,8 @@ relation matrix for (a rung) is recorded by wrapping
 runs against any checkout whose ``_dimension_profile`` has that signature.
 The germs come from ``perfbench/workloads.py`` of the checkout the script
 sits in.  Each case runs up to three times, stopping once 10 s have been
-spent on it; the median run is reported.  The record, with the
+spent on it; the median run is reported.  A run still going after 60 s is
+stopped, and the case recorded as stopped.  The record, with the
 environment, is stored under ``runs[<label>]`` of
 ``benchmarks/BENCH_milnor.json``; records under other labels are kept, so
 one file holds the numbers of two checkouts.
@@ -20,9 +21,7 @@ one file holds the numbers of two checkouts.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -31,27 +30,17 @@ import akforge.milnor as milnor
 from akforge.errors import NonIsolated
 from akforge.poly import parse_poly
 
-from _common import environment, store
+from _common import Wrap, environment, median_run, parse_label, store, workloads, wrapped
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import family_text, make_inputs  # noqa: E402
-
+RUNGS = Wrap(milnor, ("_dimension_profile",))
 SEED = 101
 OUT = Path(__file__).resolve().parent / "BENCH_milnor.json"
 
 
 def timed_calls(calls: list[tuple]) -> dict:
     """Run ``milnor_number`` on each (poly, hint); time the lot."""
-    original = milnor._dimension_profile
     reports, rungs = [], []
-
-    def spy(fx, fy, m_top):
-        rungs[-1].append(str(m_top))
-        return original(fx, fy, m_top)
-
-    milnor._dimension_profile = spy
-    try:
+    with wrapped(RUNGS, lambda name, args, out: rungs[-1].append(str(args[2]))):
         t0 = time.perf_counter()
         for f, hint in calls:
             rungs.append([])
@@ -60,18 +49,14 @@ def timed_calls(calls: list[tuple]) -> dict:
             except NonIsolated as exc:
                 reports.append(f"NonIsolated: {exc}")
         total = time.perf_counter() - t0
-    finally:
-        milnor._dimension_profile = original
     return {"total_s": round(total, 4), "reports": reports, "rungs": rungs}
 
 
 def measure(calls: list[tuple]) -> dict:
-    runs = []
-    while len(runs) < 3 and sum(r["total_s"] for r in runs) < 10.0:
-        runs.append(timed_calls(calls))
-    runs.sort(key=lambda r: r["total_s"])
-    run = runs[len(runs) // 2]
-    row = {"total_s": run["total_s"], "repeats": len(runs)}
+    run = median_run(lambda: timed_calls(calls))
+    if "stopped" in run:
+        return run
+    row = {"total_s": run["total_s"], "repeats": run["repeats"]}
     if len(calls) == 1:
         row["report"], row["rungs"] = run["reports"][0], run["rungs"][0]
     else:
@@ -84,7 +69,7 @@ def measure(calls: list[tuple]) -> dict:
 
 def cases() -> dict[str, list[tuple]]:
     germs = [
-        inp for inp in make_inputs("oracle-crosscheck", SEED)
+        inp for inp in workloads.make_inputs("oracle-crosscheck", SEED)
         if inp["op"] == "milnor" and "poly" in inp
     ]
     out = {
@@ -92,7 +77,7 @@ def cases() -> dict[str, list[tuple]]:
             (parse_poly(inp["poly"]), None) for inp in germs if inp["arithmetic"] == "exact"
         ]
     }
-    F0 = parse_poly(family_text(0))
+    F0 = parse_poly(workloads.family_text(0))
     out["F(0) hint 42"] = [(F0, 42)]
     out["F(0) no hint"] = [(F0, None)]
     for text in ("(y - x^2)^2", "(y - x^5)^2"):
@@ -101,9 +86,7 @@ def cases() -> dict[str, list[tuple]]:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this record in the JSON")
-    args = ap.parse_args()
+    label = parse_label(__doc__)
     milnor.milnor_number(parse_poly("y^2 + x^3"))  # warm-up
     results = {}
     for name, calls in cases().items():
@@ -114,7 +97,7 @@ def main() -> None:
         "medians_over": "up to 3 runs per case, stopping after 10 s",
         "cases": results,
     }
-    store(OUT, args.label, record)
+    store(OUT, label, record)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from akforge.errors import (
     CertificationFailed,
     InvalidInput,
     PolySyntaxError,
+    require_int,
 )
 from akforge.family import certify_member
 from akforge.milnor import milnor_fulton, milnor_number, milnor_resultant
@@ -158,6 +159,7 @@ def _run_bound(args, parser: argparse.ArgumentParser) -> int:
     if args.table:
         if args.max_d is None:
             parser.error("bound --table requires --max-d")
+        require_int(args.max_d, "--max-d", 1)
         lines = ["d,upper"]
         for d in range(1, args.max_d + 1):
             lines.append(f"{d},{upper_bound(d)}")

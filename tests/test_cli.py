@@ -45,6 +45,9 @@ def test_bound_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "bound", "--d", "0")
     assert code == 2
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "bound", "--table", "--max-d", n)
+        assert (code, out, err) == (2, "", f"error: --max-d must be an integer >= 1, got {n}\n")
 
 
 def test_certify_node(capsys):
@@ -218,6 +221,22 @@ def test_certify_expansion_past_the_budget_exit_2():
     assert time.perf_counter() - t0 < 1.0
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:") and "term products" in proc.stderr
+
+
+def test_construct_family_index_past_the_limit_exit_2():
+    # certifying a member takes time quadratic in the digits of s (2,000
+    # digits took 42 s); 101 digits are refused before any work
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "akforge", "construct", "--s", "1" + "0" * 100],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=20,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: family index must be below 10^100\n"
 
 
 def test_milnor_non_isolated_exit_1(capsys):

@@ -36,8 +36,13 @@ def test_family_params_identities():
         assert p.k + 1 == p.l * (20 * p.m + 3)
 
 
+def test_family_params_below_the_index_limit():
+    s = 10**100 - 1
+    assert family_params(s).k == 420 * s * s + 269 * s + 42
+
+
 def test_family_params_rejects_bad_index():
-    for bad in (-1, 1.5, "0", True, False):
+    for bad in (-1, 1.5, "0", True, False, 10**100):
         with pytest.raises(InvalidInput):
             family_params(bad)
     with pytest.raises(InvalidInput):
