@@ -17,8 +17,11 @@ many runs of sample points were taken, with their lengths.  Each s runs up
 to three times, stopping once 10 s have been spent on it; the median run is
 reported.  A run still going after 60 s is stopped (``signal.alarm``); it is
 recorded as stopped, and the larger s of the same arithmetic as skipped.
-The record, with the environment and, per arithmetic, the reports and the
-largest s finished within 1 s and within 10 s, is stored under
+A third ladder times the modular oracle on (x^e + y)^2 for e = 100, 300
+and 1000, a germ of high x-degree on which every shear fails, with its
+outcome (the report, or the error's repr), under the same stop and skip
+rule.  The record, with the environment and, per arithmetic, the reports
+and the largest s finished within 1 s and within 10 s, is stored under
 ``runs[<label>]`` of ``benchmarks/BENCH_resultant.json``; records under
 other labels are kept, so one file holds the numbers of two checkouts.
 """
@@ -30,7 +33,9 @@ import time
 from pathlib import Path
 
 import akforge.milnor as milnor
+from akforge.errors import AkforgeError
 from akforge.family import build_F
+from akforge.poly import parse_poly
 
 from _common import (
     Wrap, environment, frontier, median_run, parse_label, run_ladders, store, wrapped,
@@ -39,6 +44,7 @@ from _common import (
 LAYERS = Wrap(milnor, ("_sample_points", "eval_x_batch", "resultant_batch", "interpolate_monomial"))
 ARITHMETICS = ("modular", "exact")
 MAX_S = 3
+SHEAR_EXPONENTS = (100, 300, 1000)
 OUT = Path(__file__).resolve().parent / "BENCH_resultant.json"
 
 
@@ -86,6 +92,21 @@ def measure(s: int, arithmetic: str) -> dict:
     return row
 
 
+def measure_shears(e: int) -> dict:
+    """The modular oracle on (x^e + y)^2, timed with its outcome."""
+    f = parse_poly(f"(x^{e} + y)^2")
+
+    def run() -> dict:
+        t0 = time.perf_counter()
+        try:
+            outcome = repr(milnor.milnor_resultant(f, arithmetic="modular"))
+        except AkforgeError as exc:
+            outcome = repr(exc)
+        return {"outcome": outcome, "total_s": round(time.perf_counter() - t0, 4)}
+
+    return median_run(run)
+
+
 def main() -> None:
     label = parse_label(__doc__)
     record = {
@@ -101,6 +122,11 @@ def main() -> None:
         )
         record[arithmetic] = {"members": members, "frontier": frontier(members, "total_s")}
         print(arithmetic, json.dumps(record[arithmetic]["frontier"]), flush=True)
+    record["modular_high_x_degree"] = run_ladders(
+        [(str(e), "e", e) for e in SHEAR_EXPONENTS],
+        measure_shears,
+        prefix="modular (x^e + y)^2, e=",
+    )
     store(OUT, label, record)
 
 

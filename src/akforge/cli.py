@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--modular",
         action="store_true",
         help=(
-            "use the resultant oracle modulo two seeded primes "
-            "(AKFORGE_PRIME_SEED) instead of Fulton's algorithm"
+            "use the resultant oracle modulo seeded primes (AKFORGE_PRIME_SEED), two "
+            "if they agree, else up to the proof bound, instead of Fulton's algorithm"
         ),
     )
 
@@ -102,7 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_poly(src: str) -> SparsePoly:
     if src.startswith("@"):
         with open(src[1:], "r", encoding="utf-8") as handle:
-            return SparsePoly.from_json_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except RecursionError:
+                raise InvalidInput(f"{src[1:]}: JSON nested too deeply to read") from None
+        return SparsePoly.from_json_dict(data)
     return parse_poly(src)
 
 

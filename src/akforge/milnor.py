@@ -13,8 +13,8 @@ Every rank is computed by exact sparse elimination over the integers.
 Resultant valuation: after an origin-fixing shear that pushes all other
 critical points off the line x = 0, the Milnor number at the origin is the
 order of vanishing in x of the resultant of the two partials with respect
-to y.  Each sheared partial is scaled to integer coefficients once and kept
-as y-layers {j: {i: c}}, the form every later step reads.  There is one
+to y.  Each shear shifts f's integer terms, and its partials are kept as
+y-layers {j: {i: c}}, the form every later step reads.  There is one
 engine, at one prime p: evaluation at one run of consecutive sample points
 mod p, a division-free batched Euclid, and interpolation by forward
 differences.  One loop runs it over the seeded primes, once each: the
@@ -89,17 +89,33 @@ def _integer_terms(p: SparsePoly) -> dict[tuple[int, int], int]:
     return {(m.ex, m.ey): c.numerator * (den // c.denominator) for m, c in p.terms()}
 
 
+def _partials(F: dict[tuple[int, int], int]) -> tuple[dict, dict]:
+    """The partials d/dx and d/dy of the integer terms F, as integer terms."""
+    fx = {(i - 1, j): i * c for (i, j), c in F.items() if i}
+    return fx, {(i, j - 1): j * c for (i, j), c in F.items() if j}
+
+
+def _shear(F: dict[tuple[int, int], int], t: int) -> dict[tuple[int, int], int]:
+    """F(x + t*y, y) for integer terms F: c*x^i*y^j gives c*C(i, a)*t^(i-a) at
+    x^a*y^(j+i-a), for a = i down to 0 by C(i, a-1)*t = C(i, a)*a*t/(i-a+1)."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), c in F.items():
+        for a in range(i, -1, -1):
+            out[a, j + i - a] = out.get((a, j + i - a), 0) + c
+            c = c * a * t // (i - a + 1)
+    return {m: c for m, c in out.items() if c}
+
+
 def _col_index(i: int, j: int) -> int:
     # Monomials ordered by total degree, then by x-exponent within a degree.
     deg = i + j
     return deg * (deg + 1) // 2 + i
 
 
-def _relation_rows(fx: SparsePoly, fy: SparsePoly, m_top: int) -> list[dict[int, int]]:
+def _relation_rows(fx: dict, fy: dict, m_top: int) -> list[dict[int, int]]:
     """Rows spanning {monomial * partial, truncated below degree m_top}."""
     rows: list[dict[int, int]] = []
-    for g in (fx, fy):
-        terms = _integer_terms(g)
+    for terms in (fx, fy):
         if not terms:
             continue
         og = min(tx + ty for tx, ty in terms)
@@ -125,7 +141,7 @@ def _profile_to_dims(profile: list[int], m_top: int) -> list[int]:
     return dims
 
 
-def _dimension_profile(fx: SparsePoly, fy: SparsePoly, m_top: int) -> list[int]:
+def _dimension_profile(fx: dict, fy: dict, m_top: int) -> list[int]:
     """D(m) for all m <= m_top, by exact sparse elimination."""
     rows = _relation_rows(fx, fy, m_top)
     return _profile_to_dims(rank_profile_sparse(rows, m_top * (m_top + 1) // 2), m_top)
@@ -165,7 +181,7 @@ def milnor_number(
     _require_no_constant(f)
     bezout = (f.total_degree - 1) ** 2
     top = max(bezout + 1, 2)
-    fx, fy = f.diff("x"), f.diff("y")
+    fx, fy = _partials(_integer_terms(f))
     first = expected + 3 if expected is not None else f.order() + 1
     m_run = min(max(first, 2), top)
     while True:
@@ -325,7 +341,7 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     factor 2 + y, which meets x = 0 at y = -2.  Fulton's algorithm and the
     local algebra answer there.
 
-    Each sheared partial is read once as integer y-layers.  The sample
+    f is read once as integer terms, which each shear shifts.  The sample
     points avoid the zeros mod p of the leading y-coefficient of every
     partial, y-degree 0 included, where the whole partial is that
     coefficient; so the Euclidean recurrence mod p sees the full y-degrees
@@ -360,7 +376,8 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     if arithmetic not in ("auto", "exact", "modular"):
         raise InvalidInput(f"unknown arithmetic {arithmetic!r}")
     _require_no_constant(f)
-    X, Y = _integer_terms(f.diff("x")), _integer_terms(f.diff("y"))
+    F = _integer_terms(f)
+    X, Y = _partials(F)
     if (0, 0) in X or (0, 0) in Y:
         return MilnorReport(0, RESULTANT_METHOD, 0, "exact")
     if not X and not Y:
@@ -371,11 +388,8 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
         if all(m[axis] for m in X) and all(m[axis] for m in Y):
             raise NonIsolated(f"the {var} = 0 axis lies in the critical locus")
 
-    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
     for t in _SHEARS:
-        if t:  # the identity shear reads the partials above
-            g = f.compose(xv + yv.scale(t), yv)
-            X, Y = _integer_terms(g.diff("x")), _integer_terms(g.diff("y"))
+        X, Y = _partials(_shear(F, t))
         P, Q = _y_layers(X), _y_layers(Y)
         # A shear along which f is constant leaves f_y = 0 and is not admissible.
         if not Q or any(max(L) and 0 not in L[max(L)] for L in (P, Q)):
@@ -423,7 +437,7 @@ def milnor_fulton(f: SparsePoly) -> MilnorReport:
     """
     _require_no_constant(f)
     bezout = (f.total_degree - 1) ** 2
-    P, Q = _integer_terms(f.diff("x")), _integer_terms(f.diff("y"))
+    P, Q = _partials(_integer_terms(f))
     mu = 0
     while True:
         if (0, 0) in P or (0, 0) in Q:

@@ -201,23 +201,10 @@ class SparsePoly:
         return SparsePoly._wrap(data)
 
     def subst(self, var: str, r: "SparsePoly") -> "SparsePoly":
-        """Replace one variable by a polynomial, fully expanded.
-
-        Horner evaluation over the substituted variable's exponents keeps the
-        number of polynomial products proportional to the exponent range.
-        """
-        i = _var_index(var)
-        layers: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self._terms.items():
-            rest = Monomial(0, m.ey) if i == 0 else Monomial(m.ex, 0)
-            layers.setdefault(m[i], {})[rest] = c
-        if not layers:
-            return _POLY_ZERO
-        exps = sorted(layers, reverse=True)
-        acc = SparsePoly._wrap(layers[exps[0]])
-        for prev, e in zip(exps, exps[1:]):
-            acc = acc * r ** (prev - e) + SparsePoly._wrap(layers[e])
-        return acc * r ** exps[-1]
+        """Replace one variable by a polynomial, fully expanded, by ``compose``."""
+        if _var_index(var) == 0:
+            return self.compose(r, _POLY_Y)
+        return self.compose(_POLY_X, r)
 
     def compose(self, px: "SparsePoly", py: "SparsePoly") -> "SparsePoly":
         """Simultaneous substitution x -> px, y -> py."""
@@ -375,6 +362,9 @@ _NUM, _VAR, _OP, _LPAR, _RPAR, _END = range(6)
 # 284,000, and (1 + x + y)^100000 is refused within its first squarings.
 EXPANSION_BUDGET = 10**5
 
+# Deepest nesting of parentheses; each level takes five frames of the recursive parser.
+NESTING_LIMIT = 100
+
 # Bits that one power c^e of a number may cost, counted as e times the bits
 # of c's numerator and denominator; past it the text is InvalidInput.  0, 1
 # and -1 cost nothing, so x^1000000000000 parses.  10^4 bits is about 3,000
@@ -426,6 +416,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.pairs = 0
+        self.depth = 0
 
     def product(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
         """a * b, charged its len(a) * len(b) term products against EXPANSION_BUDGET."""
@@ -544,12 +535,16 @@ class _Parser:
             self.advance()
             return (1, 1, 0) if val == "x" else (1, 0, 1)
         if kind == _LPAR:
+            if self.depth == NESTING_LIMIT:
+                self.fail(f"parentheses nested more than {NESTING_LIMIT} deep")
+            self.depth += 1
             self.advance()
             node = self.expr()
             kind, _, _ = self.peek()
             if kind != _RPAR:
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return node
         self.fail("expected a number, variable, or '('")
 

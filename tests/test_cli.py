@@ -115,6 +115,11 @@ def test_certify_syntax_error_exit_2(capsys):
             2,
             "error: unexpected character '$' (at position 1)\n",
         ),
+        (  # PolySyntaxError at the 101st of 2,000 nested '('
+            ["certify", "--poly", "(" * 2000 + "x" + ")" * 2000],
+            2,
+            "error: parentheses nested more than 100 deep (at position 100)\n",
+        ),
         (  # InvalidInput
             ["construct", "--s", "-1"],
             2,
@@ -130,6 +135,11 @@ def test_certify_syntax_error_exit_2(capsys):
             2,
             "error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n",
         ),
+        (  # RecursionError in json.load, as InvalidInput
+            ["milnor", "--poly", "@deep.json"],
+            2,
+            "error: deep.json: JSON nested too deeply to read\n",
+        ),
     ],
     ids=[
         "non-isolated",
@@ -137,14 +147,17 @@ def test_certify_syntax_error_exit_2(capsys):
         "not-critical",
         "off-the-origin",
         "syntax-error",
+        "deep-parentheses",
         "invalid-input",
         "missing-file",
         "bad-json",
+        "deep-json",
     ],
 )
 def test_error_exit_code_and_message(capsys, monkeypatch, tmp_path, argv, code, err):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     assert run(capsys, *argv) == (code, "", err)
 
 

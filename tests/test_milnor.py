@@ -42,7 +42,8 @@ def member_s0() -> SparsePoly:
 
 def truncated_dimension(f: SparsePoly, M: int) -> int:
     """D(M): local-algebra dimension truncated below total degree M."""
-    return milnor_mod._dimension_profile(f.diff("x"), f.diff("y"), M)[M]
+    fx, fy = milnor_mod._partials(milnor_mod._integer_terms(f))
+    return milnor_mod._dimension_profile(fx, fy, M)[M]
 
 
 def test_truncated_dimension_basics():
@@ -488,6 +489,37 @@ def test_resultant_gives_up_on_a_shared_factor_away_from_the_origin():
     assert milnor_number(f).mu == 3
 
 
+def test_resultant_gives_up_on_a_high_x_degree_germ_within_2_s():
+    # (x^300 + y)^2 is not isolated and no shear is admissible; each of the
+    # eight shears shifts three integer terms, with no polynomial products.
+    f = parse_poly("(x^300 + y)^2")
+    t0 = time.perf_counter()
+    with pytest.raises(GenericityFailure, match="no admissible shear"):
+        milnor_resultant(f, arithmetic="modular")
+    assert time.perf_counter() - t0 < 2
+
+
+@st.composite
+def integer_germs(draw):
+    """Up to eight terms c*x^i*y^j with i, j <= 6 and 0 < |c| <= 20."""
+    monomials = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    coefficients = st.integers(-20, 20).filter(bool)
+    return SparsePoly(draw(st.dictionaries(monomials, coefficients, max_size=8)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(integer_germs())
+def test_integer_shear_partials_match_compose(f):
+    # the shear as a binomial shift of integer terms against the substitution
+    # x -> x + t*y of SparsePoly.compose, at every shear the oracle tries
+    xv, yv = SparsePoly.variable("x"), SparsePoly.variable("y")
+    F = milnor_mod._integer_terms(f)
+    for t in milnor_mod._SHEARS:
+        g = f.compose(xv + yv.scale(t), yv)
+        want = tuple(milnor_mod._integer_terms(g.diff(v)) for v in "xy")
+        assert milnor_mod._partials(milnor_mod._shear(F, t)) == want, t
+
+
 def test_unknown_arithmetic_rejected():
     with pytest.raises(InvalidInput):
         milnor_resultant(parse_poly("x^2 + y^2"), arithmetic="float")
@@ -551,7 +583,7 @@ def local_germs(draw):
 def test_dimension_profile_does_not_depend_on_the_truncation(f, data):
     # D(m) read from a profile truncated at m_top is the same for every
     # m_top >= m; milnor_number's short first rungs rely on it
-    fx, fy = f.diff("x"), f.diff("y")
+    fx, fy = milnor_mod._partials(milnor_mod._integer_terms(f))
     m1 = data.draw(st.integers(1, 12))
     m2 = data.draw(st.integers(m1 + 1, 16))
     dims1 = milnor_mod._dimension_profile(fx, fy, m1)
@@ -563,7 +595,8 @@ def test_dimension_profile_does_not_depend_on_the_truncation(f, data):
 @given(local_germs())
 def test_milnor_number_matches_one_profile_at_the_bezout_rung(f):
     top = max((f.total_degree - 1) ** 2 + 1, 2)
-    dims = milnor_mod._dimension_profile(f.diff("x"), f.diff("y"), top)
+    fx, fy = milnor_mod._partials(milnor_mod._integer_terms(f))
+    dims = milnor_mod._dimension_profile(fx, fy, top)
     stable = [m for m in range(1, top) if dims[m + 1] == dims[m]]
     if not stable:
         with pytest.raises(NonIsolated):

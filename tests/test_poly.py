@@ -12,6 +12,7 @@ from akforge.errors import InvalidInput, NegativeExponent, PolySyntaxError
 from akforge.poly import (
     EXPANSION_BUDGET,
     LITERAL_POWER_BITS,
+    NESTING_LIMIT,
     Monomial,
     SparsePoly,
     format_rational,
@@ -303,6 +304,16 @@ def test_parse_literal_power_budget():
     ):
         with pytest.raises(InvalidInput, match=f"passes {LITERAL_POWER_BITS} bits"):
             parse_poly(text)
+
+
+def test_parse_nesting_limit():
+    # the 101st '(' is refused where it stands, before the recursive parser
+    # could pass Python's recursion limit (at about 196 levels on its own)
+    assert parse_poly("(" * NESTING_LIMIT + "x" + ")" * NESTING_LIMIT) == parse_poly("x")
+    for depth in (NESTING_LIMIT + 1, 2000):
+        with pytest.raises(PolySyntaxError, match=f"more than {NESTING_LIMIT} deep") as exc:
+            parse_poly("(" * depth + "x" + ")" * depth)
+        assert exc.value.position == NESTING_LIMIT
 
 
 def test_parse_zero_denominator():
