@@ -14,7 +14,8 @@ Resultant valuation: after an origin-fixing shear that pushes all other
 critical points off the line x = 0, the Milnor number at the origin is the
 order of vanishing in x of the resultant of the two partials with respect
 to y.  Each shear shifts f's integer terms, and its partials are kept as
-y-layers {j: {i: c}}, the form every later step reads.  There is one
+y-layers {j: {i: c}}, the form every later step reads, the integer Euclid
+on their restrictions to x = 0 that admits the shear included.  There is one
 engine, at one prime p: evaluation at one run of consecutive sample points
 mod p, a division-free batched Euclid, and interpolation by forward
 differences.  One loop runs it over the seeded primes, once each: the
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from ._exactrank import rank_profile_sparse
@@ -216,35 +216,33 @@ def _degrees(terms: dict[tuple[int, int], int]) -> tuple[int, int, int]:
     return max(i for i, _ in terms), max(j for _, j in terms), max(i + j for i, j in terms)
 
 
-def _restriction_y(layers: dict[int, dict[int, int]]) -> list[Fraction]:
-    """Coefficient list (low to high) of p(0, y)."""
-    out = [Fraction(layers.get(j, {}).get(0, 0)) for j in range(max(layers) + 1)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _admissible(P, Q) -> bool:
+    """Whether the shear whose partials f_x, f_y have the y-layers P, Q is
+    admissible: f_y is not 0, a partial of positive y-degree keeps that
+    degree at x = 0, and p(0, y), q(0, y) share no root but y = 0.
 
-
-def _gcd_univariate(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
+    For the last, y divides neither restriction once its power of y is
+    divided out, so their gcd is a monomial exactly when the gcd of what is
+    left is a nonzero constant; a zero restriction leaves the other.  Euclid
+    decides it in integers by pseudo-remainders,
+    a <- lc(b)*a - lead(a)*y^(deg a - deg b)*b, dividing out the content.
+    """
+    if not Q or any(max(L) and 0 not in L[max(L)] for L in (P, Q)):
+        return False
+    a, b = ([L.get(j, {}).get(0, 0) for j in range(max(L) + 1)] for L in (P, Q))
+    a, b = (r[next((j for j, c in enumerate(r) if c), len(r)):] for r in (a, b))
     while b:
-        # remainder a mod b
-        da, db = len(a) - 1, len(b) - 1
-        inv = 1 / b[-1]
-        for top in range(da, db - 1, -1):
-            f = a[top] * inv
-            if f:
-                sh = top - db
-                for i in range(db + 1):
-                    a[sh + i] -= f * b[i]
-        del a[db:]
-        while a and a[-1] == 0:
-            a.pop()
+        while len(a) >= len(b):
+            lead, shift = a[-1], len(a) - len(b)
+            a = [b[-1] * c for c in a]
+            for i, c in enumerate(b, shift):
+                a[i] -= lead * c
+            while a and not a[-1]:
+                a.pop()
+            g = gcd(*a)
+            a = [c // g for c in a]
         a, b = b, a
-    return a
-
-
-def _is_monomial_univ(c: list[Fraction]) -> bool:
-    return sum(1 for v in c if v) == 1
+    return len(a) == 1
 
 
 def _sample_points(P, Q, count: int, p: int) -> list[int]:
@@ -341,7 +339,8 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     factor 2 + y, which meets x = 0 at y = -2.  Fulton's algorithm and the
     local algebra answer there.
 
-    f is read once as integer terms, which each shear shifts.  The sample
+    f is read once as integer terms, which each shear shifts; _admissible
+    tests the conditions on them by integer pseudo-remainders.  The sample
     points avoid the zeros mod p of the leading y-coefficient of every
     partial, y-degree 0 included, where the whole partial is that
     coefficient; so the Euclidean recurrence mod p sees the full y-degrees
@@ -391,10 +390,7 @@ def milnor_resultant(f: SparsePoly, *, arithmetic: str = "auto") -> MilnorReport
     for t in _SHEARS:
         X, Y = _partials(_shear(F, t))
         P, Q = _y_layers(X), _y_layers(Y)
-        # A shear along which f is constant leaves f_y = 0 and is not admissible.
-        if not Q or any(max(L) and 0 not in L[max(L)] for L in (P, Q)):
-            continue
-        if not _is_monomial_univ(_gcd_univariate(_restriction_y(P), _restriction_y(Q))):
+        if not _admissible(P, Q):
             continue
         (mx, py, m), (nx, qy, n) = _degrees(X), _degrees(Y)
         bound = qy * mx + py * nx

@@ -7,11 +7,12 @@ import itertools
 import random
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_changes
 
@@ -520,6 +521,89 @@ def test_integer_shear_partials_match_compose(f):
         assert milnor_mod._partials(milnor_mod._shear(F, t)) == want, t
 
 
+# The resultant oracle's shear admission before it ran in integers, moved
+# here verbatim as the reference: a Fraction Euclid on p(0, y) and q(0, y).
+def _restriction_y(layers: dict[int, dict[int, int]]) -> list[Fraction]:
+    """Coefficient list (low to high) of p(0, y)."""
+    out = [Fraction(layers.get(j, {}).get(0, 0)) for j in range(max(layers) + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _gcd_univariate(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a, b = list(a), list(b)
+    while b:
+        # remainder a mod b
+        da, db = len(a) - 1, len(b) - 1
+        inv = 1 / b[-1]
+        for top in range(da, db - 1, -1):
+            f = a[top] * inv
+            if f:
+                sh = top - db
+                for i in range(db + 1):
+                    a[sh + i] -= f * b[i]
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return a
+
+
+def _is_monomial_univ(c: list[Fraction]) -> bool:
+    return sum(1 for v in c if v) == 1
+
+
+def fraction_admissible(P, Q) -> bool:
+    # A shear along which f is constant leaves f_y = 0 and is not admissible.
+    if not Q or any(max(L) and 0 not in L[max(L)] for L in (P, Q)):
+        return False
+    return _is_monomial_univ(_gcd_univariate(_restriction_y(P), _restriction_y(Q)))
+
+
+def _times_y_minus(terms: dict[tuple[int, int], int], r: int) -> dict[tuple[int, int], int]:
+    """The integer terms of (y - r) times terms."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), c in terms.items():
+        out[i, j + 1] = out.get((i, j + 1), 0) + c
+        out[i, j] = out.get((i, j), 0) - r * c
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def layer_pairs(draw):
+    """y-layers of a nonzero P and a possibly zero Q, most of them keeping
+    their y-degree at x = 0, both multiplied by one (y - r),
+    r in {0, 1, -1, 2}, in about half the draws."""
+    monomials = st.tuples(st.integers(0, 2), st.integers(0, 5))
+    coefficients = st.integers(-6, 6).filter(bool)
+    P, Q = (draw(st.dictionaries(monomials, coefficients, min_size=n, max_size=7)) for n in (1, 0))
+    for terms in (P, Q):
+        if terms and draw(st.integers(0, 3)):
+            terms.setdefault((0, max(j for _, j in terms)), draw(coefficients))
+    r = draw(st.sampled_from([None, 0, 1, -1, 2]))
+    if r is not None:
+        P, Q = _times_y_minus(P, r), _times_y_minus(Q, r)
+    return milnor_mod._y_layers(P), milnor_mod._y_layers(Q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(layer_pairs())
+@example(({0: {1: 2}}, {1: {0: 1}}))  # p(0, y) = 0 leaves q(0, y) = y: admissible
+@example(({0: {1: 2}}, {2: {0: 1}, 1: {0: -1}}))  # ... or y^2 - y: not
+@example(({0: {1: 1}}, {0: {2: 3}}))  # both restrictions zero
+@example(({0: {1: 1}}, {}))  # f_y = 0
+@example(({1: {0: 3}}, {0: {1: 5}}))  # a partial of y-degree 0
+@example(({3: {0: 2}}, {5: {0: -7}, 0: {1: 1}}))  # pure powers of y
+@example(({2: {1: 1}, 1: {0: 1}}, {1: {0: 1}}))  # p drops its y-degree at x = 0
+@example(({2: {0: 1}, 1: {0: 2}}, {3: {0: 1}, 2: {0: 2}, 0: {1: 1}}))  # shared root y = -2
+@example(({2: {0: 1}, 1: {0: 2}}, {3: {0: 1}, 2: {0: 3}, 0: {1: 1}}))  # no shared root
+def test_admission_matches_the_fraction_gcd(pair):
+    # the integer pseudo-remainder test against the Fraction Euclid it replaced
+    P, Q = pair
+    assert milnor_mod._admissible(P, Q) == fraction_admissible(P, Q)
+
+
 def test_unknown_arithmetic_rejected():
     with pytest.raises(InvalidInput):
         milnor_resultant(parse_poly("x^2 + y^2"), arithmetic="float")
@@ -709,10 +793,8 @@ def test_fulton_matches_local_algebra_on_changed_ak_germs(germ):
     assert report.mu == milnor_number(f).mu == k
 
 
-@pytest.mark.parametrize("module", ["milnor", "_modp", "_exactrank"])
-def test_oracles_import_nothing_of_the_certifier(module):
-    # the oracles cross-check the certifier and the classifier, so they must
-    # share no code with them: no series, XSeries, Horner scheme or family
+def imported_names(module: str) -> set[str]:
+    """The modules and akforge names that akforge/<module>.py imports."""
     path = Path(milnor_mod.__file__).with_name(f"{module}.py")
     imported = set()
     for node in ast.walk(ast.parse(path.read_text())):
@@ -723,4 +805,18 @@ def test_oracles_import_nothing_of_the_certifier(module):
                 imported.add(node.module.rpartition(".")[2])
             if node.level or node.module == "akforge":
                 imported |= {alias.name for alias in node.names}
+    return imported
+
+
+@pytest.mark.parametrize("module", ["milnor", "_modp", "_exactrank"])
+def test_oracles_import_nothing_of_the_certifier(module):
+    # the oracles cross-check the certifier and the classifier, so they must
+    # share no code with them: no series, XSeries, Horner scheme or family
+    imported = imported_names(module)
     assert not imported & {"series", "_xseries", "classify", "family"}, imported
+
+
+@pytest.mark.parametrize("module", ["milnor", "_modp", "_exactrank"])
+def test_oracles_compute_in_integers(module):
+    # one arithmetic in the oracles: integers, and integers mod p
+    assert "fractions" not in imported_names(module)
