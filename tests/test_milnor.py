@@ -561,15 +561,6 @@ def fraction_admissible(P, Q) -> bool:
     return _is_monomial_univ(_gcd_univariate(_restriction_y(P), _restriction_y(Q)))
 
 
-def _times_y_minus(terms: dict[tuple[int, int], int], r: int) -> dict[tuple[int, int], int]:
-    """The integer terms of (y - r) times terms."""
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), c in terms.items():
-        out[i, j + 1] = out.get((i, j + 1), 0) + c
-        out[i, j] = out.get((i, j), 0) - r * c
-    return {m: c for m, c in out.items() if c}
-
-
 @st.composite
 def layer_pairs(draw):
     """y-layers of a nonzero P and a possibly zero Q, most of them keeping
@@ -583,7 +574,8 @@ def layer_pairs(draw):
             terms.setdefault((0, max(j for _, j in terms)), draw(coefficients))
     r = draw(st.sampled_from([None, 0, 1, -1, 2]))
     if r is not None:
-        P, Q = _times_y_minus(P, r), _times_y_minus(Q, r)
+        shared = SparsePoly({(0, 1): 1, (0, 0): -r})
+        P, Q = (milnor_mod._integer_terms(SparsePoly(t) * shared) for t in (P, Q))
     return milnor_mod._y_layers(P), milnor_mod._y_layers(Q)
 
 
