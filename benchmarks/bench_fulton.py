@@ -1,4 +1,4 @@
-"""Timing of Fulton's Milnor oracle on a decade ladder of the family, and the cold CLI.
+"""Timing of Fulton's Milnor oracle on a decade ladder of the family.
 
     PYTHONPATH=src python3 benchmarks/bench_fulton.py --label after
     PYTHONPATH=<other checkout>/src python3 benchmarks/bench_fulton.py --label before
@@ -9,34 +9,25 @@ Each s runs up to three times, stopping once 10 s have been spent on it;
 the median run is reported.  A run still going after 60 s is stopped
 (``signal.alarm``); it is recorded as stopped, and the larger s as
 skipped.  The frontier is the largest s of the ladder finished within 1 s
-and within 10 s.  The cold CLI is ``python -m akforge milnor --poly F(0)``
-in a new interpreter, the text being the oracle-crosscheck benchmark
-workload's: the median of seven runs, what it printed and whether
-``import akforge.cli`` loads numpy.  The record, with the environment, is
-stored under ``runs[<label>]`` of ``benchmarks/BENCH_fulton.json``;
-records under other labels are kept, so one file holds the numbers of two
-checkouts.
+and within 10 s.  The record, with the environment, is stored under
+``runs[<label>]`` of ``benchmarks/BENCH_fulton.json``; records under other
+labels are kept, so one file holds the numbers of two checkouts.  (Older
+records also hold a cold CLI run, now timed by ``bench_cli.py``.)
 """
 
 from __future__ import annotations
 
 import json
-import os
-import statistics
-import subprocess
-import sys
 import time
 from pathlib import Path
 
-import akforge
 from akforge.family import build_F, family_params
 from akforge.milnor import milnor_fulton
 
-from _common import environment, frontier, median_run, parse_label, run_ladders, store, workloads
+from _common import environment, frontier, median_run, parse_label, run_ladders, store
 
 OUT = Path(__file__).resolve().parent / "BENCH_fulton.json"
 LADDER = tuple(10**e for e in range(8))
-CLI_RUNS = 7
 
 
 def cross_check(s: int) -> dict:
@@ -57,29 +48,6 @@ def measure(s: int) -> dict:
     return {"k": family_params(s).k, "seconds": round(row["total_s"], 5), "repeats": row["repeats"]}
 
 
-def cli_run(src: Path, argv: list[str]) -> tuple[float, subprocess.CompletedProcess]:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=600)
-    return time.perf_counter() - t0, proc
-
-
-def cold_cli(src: Path) -> dict:
-    times = []
-    argv = ["-m", "akforge", "milnor", "--poly", workloads.family_text(0)]
-    for _ in range(CLI_RUNS):
-        elapsed, proc = cli_run(src, argv)
-        times.append(elapsed)
-    printed = json.loads(proc.stdout) if proc.returncode == 0 else proc.stderr.decode()
-    probe = ["-c", "import sys, akforge.cli; print('numpy' in sys.modules)"]
-    return {
-        "median_s": round(statistics.median(times), 4),
-        "runs": CLI_RUNS,
-        "printed": printed,
-        "import_loads_numpy": cli_run(src, probe)[1].stdout.decode().strip() == "True",
-    }
-
-
 def main() -> None:
     label = parse_label(__doc__)
     milnor_fulton(build_F(0).F)  # warm-up
@@ -91,8 +59,6 @@ def main() -> None:
         "frontier": frontier(rungs, "seconds"),
     }
     print("frontier", json.dumps(record["frontier"]), flush=True)
-    record["cold_cli_milnor_F0"] = cold_cli(Path(akforge.__file__).resolve().parents[1])
-    print("cold CLI", json.dumps(record["cold_cli_milnor_F0"]), flush=True)
     store(OUT, label, record)
 
 

@@ -1,15 +1,15 @@
 """akforge: exact construction and certification of highly degenerate curve points.
 
-The package builds a family of plane curves of degree 28s+9 whose single
-singular point is of type A_k with k = 420s^2 + 269s + 42, certifies the
+The package builds a family of plane curves of degree 28s+9 whose origin
+is a singular point of type A_k with k = 420s^2 + 269s + 42, certifies the
 type with exact arithmetic (weighted series inversion plus a Newton-segment
 check), cross-checks k with three independent Milnor-number oracles (the
 truncated local algebra, the resultant valuation and Fulton's
 intersection-multiplicity algorithm), and compares the construction against
 the general degree bound k <= (d-1)^2 - floor(d/2)(floor(d/2) - 1).
 
-Importing the package does not load numpy: only the resultant oracle uses
-it, in either arithmetic, and imports it when it first runs.
+Importing the package loads neither numpy nor dataclasses: the records are
+NamedTuples, and the resultant oracle imports numpy when it first runs.
 """
 
 from __future__ import annotations

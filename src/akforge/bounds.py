@@ -25,8 +25,8 @@ the bound stays below 3/4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from akforge.errors import InvalidInput, require_int
 
@@ -42,32 +42,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InertiaIndices:
-    """Signature (mu_plus, mu_zero, mu_minus) of the intersection form."""
-
+class _InertiaIndices(NamedTuple):
     d: int
     mu_plus: int
     mu_zero: int
     mu_minus: int
 
-    def __post_init__(self):
-        total = (self.d - 1) ** 2
-        if self.mu_plus + self.mu_zero + self.mu_minus != total:
+
+class InertiaIndices(_InertiaIndices):
+    """Signature (mu_plus, mu_zero, mu_minus) of the intersection form."""
+
+    __slots__ = ()
+
+    def __new__(cls, d, mu_plus, mu_zero, mu_minus):
+        total = (d - 1) ** 2
+        if mu_plus + mu_zero + mu_minus != total:
             raise InvalidInput(
                 f"inertia indices must sum to (d-1)^2 = {total}, got "
-                f"{self.mu_plus + self.mu_zero + self.mu_minus}"
+                f"{mu_plus + mu_zero + mu_minus}"
             )
+        return super().__new__(cls, d, mu_plus, mu_zero, mu_minus)
 
     @property
     def total(self) -> int:
         return self.mu_plus + self.mu_zero + self.mu_minus
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    """One row of the asymptotic comparison table."""
-
+class _RatioRow(NamedTuple):
     s: int
     d: int
     k_constructed: int
@@ -75,12 +76,19 @@ class RatioRow:
     ratio_k: Fraction
     ratio_bound: Fraction
 
-    def __post_init__(self):
-        if self.k_constructed > self.upper:
+
+class RatioRow(_RatioRow):
+    """One row of the asymptotic comparison table."""
+
+    __slots__ = ()
+
+    def __new__(cls, s, d, k_constructed, upper, ratio_k, ratio_bound):
+        if k_constructed > upper:
             raise InvalidInput(
-                f"constructed k = {self.k_constructed} exceeds the bound "
-                f"{self.upper} at degree {self.d}"
+                f"constructed k = {k_constructed} exceeds the bound "
+                f"{upper} at degree {d}"
             )
+        return super().__new__(cls, s, d, k_constructed, upper, ratio_k, ratio_bound)
 
 
 def upper_bound(d: int) -> int:

@@ -18,8 +18,8 @@ x^(2p), dividing by f_yy(x, h) mod x^p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._xseries import XSeries, subst_horner
 from .errors import (
@@ -34,8 +34,7 @@ from .poly import Monomial, SparsePoly
 from .series import TruncatedSeries, Weights
 
 
-@dataclass(frozen=True)
-class AkCertificate:
+class AkCertificate(NamedTuple):
     """Outcome of the Newton-segment check for a claimed k."""
 
     k: int
@@ -43,28 +42,32 @@ class AkCertificate:
     coeff_xk1: Fraction
     weights: Weights
     cutoff: int
-    violations: tuple[tuple[Monomial, Fraction], ...] = field(default=())
+    violations: tuple[tuple[Monomial, Fraction], ...] = ()
 
     @property
     def certified(self) -> bool:
         return not self.violations and self.coeff_z2 != 0 and self.coeff_xk1 != 0
 
 
-@dataclass(frozen=True)
-class AkResult:
-    """Classification outcome: A_k, Smooth, NotCorankOne, or Undetermined."""
-
+class _AkResult(NamedTuple):
     kind: str
     k: int | None = None
     cap: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("A_k", "Smooth", "NotCorankOne", "Undetermined"):
-            raise InvalidInput(f"unknown result kind {self.kind!r}")
-        if self.kind == "A_k" and (self.k is None or self.k < 1):
+
+class AkResult(_AkResult):
+    """Classification outcome: A_k, Smooth, NotCorankOne, or Undetermined."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, k=None, cap=None):
+        if kind not in ("A_k", "Smooth", "NotCorankOne", "Undetermined"):
+            raise InvalidInput(f"unknown result kind {kind!r}")
+        if kind == "A_k" and (k is None or k < 1):
             raise InvalidInput("A_k result requires k >= 1")
-        if self.kind == "Undetermined" and self.cap is None:
+        if kind == "Undetermined" and cap is None:
             raise InvalidInput("Undetermined result carries the precision cap")
+        return super().__new__(cls, kind, k, cap)
 
 
 def newton_ak_certify(series: TruncatedSeries, expected_k: int) -> AkCertificate:

@@ -19,7 +19,7 @@ effective and `certify_member` replays it with exact arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from akforge.bounds import upper_bound
 from akforge.classify import AkCertificate, newton_ak_certify
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Exponent data of one family member."""
 
     s: int
@@ -51,8 +50,7 @@ class FamilyParams:
     k: int
 
 
-@dataclass(frozen=True)
-class CurveInstance:
+class CurveInstance(NamedTuple):
     """One family member: parameters plus the defining polynomials."""
 
     params: FamilyParams
@@ -60,8 +58,7 @@ class CurveInstance:
     A: SparsePoly
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
+class FamilyCertificate(NamedTuple):
     """Aggregated evidence that member s carries an A_k point."""
 
     params: FamilyParams

@@ -37,8 +37,8 @@ arithmetic, so importing this module does not load it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from ._exactrank import rank_profile_sparse
 from ._modp import eval_x_batch, interpolate_monomial, resultant_batch
@@ -75,8 +75,7 @@ _SHEARS = (0, 50, 98, 54, 6, 34, 66, 63)
 FULTON_TERM_BUDGET = 500
 
 
-@dataclass(frozen=True)
-class MilnorReport:
+class MilnorReport(NamedTuple):
     mu: int
     method: str
     stabilized_at: int

@@ -21,7 +21,6 @@ cost follows the number of terms, not the window's x-range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -54,23 +53,26 @@ def truncate_by_weight(p: SparsePoly, weights: Weights, cutoff: int) -> SparsePo
     )
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """A polynomial known exactly up to weighted degree `cutoff`."""
-
+class _TruncatedSeries(NamedTuple):
     body: SparsePoly
     weights: Weights
     cutoff: int
 
-    def __post_init__(self):
-        wx, wz = weights = _checked_window(self.weights, self.cutoff)
-        object.__setattr__(self, "weights", weights)
-        for m, _ in self.body.terms():
-            if wx * m.ex + wz * m.ey > self.cutoff:
+
+class TruncatedSeries(_TruncatedSeries):
+    """A polynomial known exactly up to weighted degree `cutoff`."""
+
+    __slots__ = ()
+
+    def __new__(cls, body, weights, cutoff):
+        wx, wz = weights = _checked_window(weights, cutoff)
+        for m, _ in body.terms():
+            if wx * m.ex + wz * m.ey > cutoff:
                 raise InvalidInput(
                     "series body contains a term beyond the cutoff; "
                     "use TruncatedSeries.from_poly to truncate"
                 )
+        return super().__new__(cls, body, weights, cutoff)
 
     @classmethod
     def from_poly(cls, p: SparsePoly, weights: Weights, cutoff: int) -> "TruncatedSeries":
@@ -87,7 +89,6 @@ class TruncatedSeries:
 # -- the window as z-layers ------------------------------------------------
 
 
-@dataclass(eq=False, slots=True)
 class _ZLayers:
     """A series in (x, z) inside the window (wx, wz, cutoff), as {j: c_j(x)}.
 
@@ -95,8 +96,10 @@ class _ZLayers:
     + 1).  Every operand of one computation shares the window.
     """
 
-    rows: dict[int, XSeries]
-    window: tuple[int, int, int]
+    __slots__ = ("rows", "window")
+
+    def __init__(self, rows: dict[int, XSeries], window: tuple[int, int, int]):
+        self.rows, self.window = rows, window
 
     @classmethod
     def from_rows(cls, rows: dict[int, dict], window: tuple[int, int, int]) -> "_ZLayers":

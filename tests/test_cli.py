@@ -382,14 +382,19 @@ _SRC = str(Path(akforge.__file__).resolve().parents[1])
 
 
 def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter under -S, so that neither site nor the
+    .pth files it reads load a module before akforge does."""
     env = dict(os.environ, PYTHONPATH=_SRC)
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, env=env, timeout=120
     )
 
 
-def test_import_does_not_load_numpy():
-    proc = _python("import sys, akforge.cli; print('numpy' in sys.modules)")
+# numpy would cost every CLI run its native extensions, and dataclasses pulls
+# in inspect, ast and dis.
+@pytest.mark.parametrize("module", ["numpy", "dataclasses"])
+def test_import_does_not_load(module):
+    proc = _python(f"import sys, akforge.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0 and proc.stdout == b"False\n", proc.stderr
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 
 import pytest
 
-from akforge.classify import AkCertificate
+from akforge.bounds import ratio_table, steenbrink_inertia
+from akforge.classify import AkCertificate, split_and_classify
 from akforge.errors import CertificationFailed, IdentityViolation, InvalidInput
 from akforge.family import (
     CurveInstance,
@@ -18,7 +20,7 @@ from akforge.family import (
     family_params,
     verify_eq2,
 )
-from akforge.milnor import MilnorReport
+from akforge.milnor import MilnorReport, milnor_fulton
 from akforge.poly import SparsePoly, parse_poly
 from akforge.series import Weights, invert_change
 
@@ -214,3 +216,36 @@ CERT_SHA256 = {
 def test_certificate_bytes_are_pinned(s):
     text = json.dumps(certify_member(s).to_json_dict(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[s]
+
+
+# Each builds a fresh record; two calls give equal records.  The records
+# holding a SparsePoly, which defines __eq__ alone, cannot be hashed.
+RECORDS = {
+    "FamilyParams": (lambda: family_params(1), True),
+    "CurveInstance": (lambda: build_F(0), False),
+    "FamilyCertificate": (lambda: certify_member(0), False),
+    "AkCertificate": (lambda: certify_member(0).newton, True),
+    "AkResult": (lambda: split_and_classify(parse_poly("y^2 + x^3")), True),
+    "MilnorReport": (lambda: milnor_fulton(parse_poly("y^2 + x^3")), True),
+    "InertiaIndices": (lambda: steenbrink_inertia(9), True),
+    "RatioRow": (lambda: ratio_table(1)[1], True),
+    "TruncatedSeries": (lambda: invert_change(build_A(0), Weights(2, 43), 86), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_repr_equality_and_immutability(name):
+    make, hashable = RECORDS[name]
+    a, b = make(), make()
+    fields = list(inspect.signature(type(a)).parameters)
+    assert type(a).__name__ == name
+    assert repr(a) == f"{name}({', '.join(f'{f}={getattr(a, f)!r}' for f in fields)})"
+    assert a == b and a is not b
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(b, f))
