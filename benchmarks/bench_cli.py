@@ -40,16 +40,15 @@ OUT = Path(__file__).resolve().parent / "BENCH_cli.json"
 RUNS = 15
 WORKLOADS = ("member-ladder", "germ-classify", "oracle-crosscheck")
 WATCHED = ("numpy", "dataclasses", "inspect")
-IMPORT_ONLY = "import akforge.cli"
 
 
 def cli_inputs() -> dict[str, list[str]]:
-    """{input id: interpreter arguments} of each workload's CLI run, the bare import and the floor."""
+    """{input: interpreter arguments} of each workload's CLI run, the bare import, the floor."""
     cases = {}
     for name in WORKLOADS:
         inp = next(i for i in workloads.make_inputs(name, 0) if i.get("role") == "cli")
         cases[inp["id"]] = ["-m", "akforge", *inp["argv"]]
-    cases[IMPORT_ONLY] = ["-c", IMPORT_ONLY]
+    cases["import akforge.cli"] = ["-c", "import akforge.cli"]
     cases["python -c pass"] = ["-c", "pass"]
     return cases
 
@@ -85,8 +84,8 @@ def cold_cli(src: Path) -> dict:
     """The record of every CLI input, run RUNS times in turns from a copy of ``src``."""
     cases = cli_inputs()
     with tempfile.TemporaryDirectory() as tmp:
-        copy = shutil.ignore_patterns("__pycache__")
-        shutil.copytree(src / "akforge", Path(tmp, "akforge"), ignore=copy)
+        no_cache = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(src / "akforge", Path(tmp, "akforge"), ignore=no_cache)
         env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
         wall = {case: [] for case in cases}
         cpu = {case: [] for case in cases}

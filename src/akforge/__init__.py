@@ -8,7 +8,7 @@ truncated local algebra, the resultant valuation and Fulton's
 intersection-multiplicity algorithm), and compares the construction against
 the general degree bound k <= (d-1)^2 - floor(d/2)(floor(d/2) - 1).
 
-Importing the package loads neither numpy nor dataclasses: the records are
+Importing the package loads neither numpy nor inspect: the records are
 NamedTuples, and the resultant oracle imports numpy when it first runs.
 """
 
