@@ -347,12 +347,14 @@ _POLY_Y = SparsePoly({(0, 1): 1})
 # Rational literals are contiguous, e.g. 3 or 22/7.  Implicit multiplication
 # is rejected: "2x" is a syntax error.
 #
-# A value is a monomial (c, ex, ey), c an int or a Fraction, until a
-# parenthesized expression makes it a SparsePoly, so a product such as
-# 3*x^2*y is built directly.  An expression adds its terms into one
-# coefficient dict and becomes a SparsePoly once, at its end.
+# The lexer reads each maximal product of literal factors, such as 3*x^2*y,
+# as one monomial token (c, ex, ey), and ')' with its '^ integer' as one token;
+# _Parser.factor reads a factor, its power and its atom.  A value is a
+# monomial until a parenthesized expression makes it a SparsePoly; an
+# expression adds its terms into one coefficient dict and becomes a
+# SparsePoly once, at its end.
 
-_NUM, _VAR, _OP, _LPAR, _RPAR, _END = range(6)
+_MONO, _POWERED, _OP, _LPAR, _RPAR, _END = range(6)
 
 # Term products (one per pair of terms multiplied) that expanding the
 # products and powers of one text may form, counted before each product of a
@@ -362,7 +364,7 @@ _NUM, _VAR, _OP, _LPAR, _RPAR, _END = range(6)
 # 284,000, and (1 + x + y)^100000 is refused within its first squarings.
 EXPANSION_BUDGET = 10**5
 
-# Deepest nesting of parentheses; each level takes five frames of the recursive parser.
+# Deepest nesting of parentheses; each level takes three frames of the recursive parser.
 NESTING_LIMIT = 100
 
 # Bits that one power c^e of a number may cost, counted as e times the bits
@@ -372,30 +374,80 @@ NESTING_LIMIT = 100
 LITERAL_POWER_BITS = 10**4
 
 
-# One token after optional whitespace; the groups are a number with an
-# optional denominator, a variable, an operator, '(', ')' and any other
-# character, which is an error.
-_TOKEN = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([xy])|([-+*^])|(\()|(\))|(\S))")
-_KINDS = {3: _VAR, 4: _OP, 5: _LPAR, 6: _RPAR}
+# A number with an optional denominator, or a variable, with an optional
+# integer power; a power followed by '/' is left for the parser to refuse.
+_FACTOR = r"(?:\d+(?:/\d+)?|[xy])(?:\s*\^\s*\d+(?![\d/]))?"
+# One token after optional whitespace; the groups are a product of literal
+# factors, ')' and its power, an operator, '(' and any other character,
+# which is an error.
+_TOKEN = re.compile(
+    rf"\s*(?:({_FACTOR}(?:\s*\*\s*{_FACTOR})*)|(\))(?:\s*\^\s*(\d+)(?![\d/]))?"
+    r"|([-+*^])|(\()|(\S))"
+)
+# The factors of one product: number, denominator, variable, power.
+_PARTS = re.compile(r"(?:(\d+)(?:/(\d+))?|([xy]))(?:\s*\^\s*(\d+))?")
+
+
+def _literal_power(c: Scalar, e: int) -> Scalar:
+    """c**e, refused before it is computed if it passes LITERAL_POWER_BITS."""
+    if c not in (0, 1, -1):
+        bits = e * (abs(c.numerator).bit_length() + c.denominator.bit_length())
+        if bits > LITERAL_POWER_BITS:
+            raise InvalidInput(f"a number to the power {e} passes {LITERAL_POWER_BITS} bits")
+    return c**e
+
+
+def _monomial(text: str, start: int, end: int) -> tuple[int, object, int]:
+    """The token of the literal product text[start:end], _POWERED if its last
+    factor has a power.  Its value is (c, ex, ey), or the InvalidInput of its
+    first number power past LITERAL_POWER_BITS, raised where it is parsed."""
+    c, ex, ey, refused = 1, 0, 0, None
+    try:
+        for num, den, var, power in _PARTS.findall(text, start, end):
+            e = int(power) if power else 1
+            if var == "x":
+                ex += e
+            elif var == "y":
+                ey += e
+            else:
+                v = Fraction(int(num), int(den)) if den else int(num)
+                if refused is None:
+                    try:
+                        c *= _literal_power(v, e) if power else v
+                    except InvalidInput as exc:
+                        refused = exc
+    except (ValueError, ZeroDivisionError):
+        raise _literal_error(text, start, end) from None
+    return (_POWERED if power else _MONO, (c, ex, ey) if refused is None else refused, start)
+
+
+def _literal_error(text: str, start: int, end: int) -> PolySyntaxError:
+    """The error at the first literal in text[start:end] that int() or Fraction
+    refuses: a zero denominator, or more digits than sys.get_int_max_str_digits()."""
+    for f in _PARTS.finditer(text, start, end):
+        for group in (1, 2, 4):
+            try:
+                if f[group] is not None and int(f[group]) == 0 and group == 2:
+                    return PolySyntaxError("zero denominator in rational literal", f.start(2))
+            except ValueError:
+                return PolySyntaxError("number literal has too many digits", f.start(group))
 
 
 def _tokenize(text: str) -> list[tuple[int, object, int]]:
     tokens = []
-    match, pos = _TOKEN.match, 0
-    while (m := match(text, pos)) is not None:
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
         group = m.lastindex
         if group == 1:
-            tokens.append((_NUM, int(m[1]), m.start(1)))
-        elif group == 2:
-            den = int(m[2])
-            if den == 0:
-                raise PolySyntaxError("zero denominator in rational literal", m.start(2))
-            tokens.append((_NUM, Fraction(int(m[1]), den), m.start(1)))
-        elif group == 7:
-            raise PolySyntaxError(f"unexpected character {m[7]!r}", m.start(7))
+            tokens.append(_monomial(text, m.start(1), m.end()))
+        elif group <= 3:
+            try:
+                tokens.append((_RPAR, m[3] and int(m[3]), m.start(2)))
+            except ValueError:
+                raise _literal_error(text, m.start(3), m.end(3)) from None
+        elif group == 6:
+            raise PolySyntaxError(f"unexpected character {m[6]!r}", m.start(6))
         else:
-            tokens.append((_KINDS[group], m[group], m.start(group)))
+            tokens.append((_OP if group == 4 else _LPAR, m[group], m.start(group)))
     tokens.append((_END, None, len(text)))
     return tokens
 
@@ -431,17 +483,15 @@ class _Parser:
         return self.tokens[self.pos]
 
     def advance(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def fail(self, message: str):
         raise PolySyntaxError(message, self.peek()[2])
 
     def parse(self) -> SparsePoly:
         node = self.expr()
-        kind, _, pos = self.peek()
-        if kind != _END:
+        if self.peek()[0] != _END:
             self.fail("unexpected trailing input")
         return node
 
@@ -462,9 +512,7 @@ class _Parser:
                 self.advance()
                 sign = 1 if val == "+" else -1
             else:
-                return SparsePoly._wrap(
-                    {Monomial(*m): Fraction(c) for m, c in acc.items() if c}
-                )
+                return SparsePoly._wrap({Monomial(*m): Fraction(c) for m, c in acc.items() if c})
 
     def term(self) -> _Value:
         node = self.factor()
@@ -482,71 +530,43 @@ class _Parser:
 
     def factor(self) -> _Value:
         sign = 1
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _OP and val in "+-":
-                self.advance()
-                if val == "-":
-                    sign = -sign
-            else:
-                break
-        node = self.power()
-        if sign > 0:
-            return node
-        return -node if isinstance(node, SparsePoly) else (-node[0], node[1], node[2])
-
-    def power(self) -> _Value:
-        node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == _OP and val == "^":
-            self.advance()
-            kind, val, pos = self.peek()
-            if kind == _OP and val == "-":
-                raise NegativeExponent("exponent must be non-negative", pos)
-            if kind != _NUM:
-                self.fail("expected integer exponent after '^'")
-            if isinstance(val, Fraction):
-                # a rational literal, even 4/2: the grammar has no '/', so x^4/2 is not x^2
-                self.fail("exponent must be an integer literal")
-            self.advance()
-            e = val
-            if isinstance(node, SparsePoly) and len(node) == 1:
-                # a single term, such as (3*x), is raised as a monomial value
-                ((ex, ey), c), = node._terms.items()
-                node = (c, ex, ey)
-            if isinstance(node, SparsePoly):
-                return _power(node, e, self.product)
-            c, ex, ey = node
-            if c not in (0, 1, -1):
-                bits = e * (abs(c.numerator).bit_length() + c.denominator.bit_length())
-                if bits > LITERAL_POWER_BITS:
-                    raise InvalidInput(
-                        f"a number to the power {e} passes {LITERAL_POWER_BITS} bits"
-                    )
-            return (c**e, ex * e, ey * e)
-        return node
-
-    def atom(self) -> _Value:
-        kind, val, _ = self.peek()
-        if kind == _NUM:
-            self.advance()
-            return (val, 0, 0)
-        if kind == _VAR:
-            self.advance()
-            return (1, 1, 0) if val == "x" else (1, 0, 1)
+        while (token := self.advance())[0] == _OP and token[1] in "+-":
+            sign = -sign if token[1] == "-" else sign
+        kind, node, pos = token
         if kind == _LPAR:
             if self.depth == NESTING_LIMIT:
-                self.fail(f"parentheses nested more than {NESTING_LIMIT} deep")
+                raise PolySyntaxError(f"parentheses nested more than {NESTING_LIMIT} deep", pos)
             self.depth += 1
-            self.advance()
             node = self.expr()
-            kind, _, _ = self.peek()
+            kind, e, _ = self.peek()
             if kind != _RPAR:
                 self.fail("expected ')'")
             self.advance()
             self.depth -= 1
+            if e is not None and len(node) != 1:
+                node, kind = _power(node, e, self.product), _POWERED
+            elif e is not None:
+                # a single term, such as (3*x), is raised as a monomial value
+                ((ex, ey), c), = node._terms.items()
+                node, kind = (_literal_power(c, e), ex * e, ey * e), _POWERED
+        elif kind != _MONO and kind != _POWERED:
+            raise PolySyntaxError("expected a number, variable, or '('", pos)
+        elif isinstance(node, InvalidInput):
+            raise node
+        # a '^' after a power is left unread, as the second '^' of x^2^3; after
+        # anything else it is an error, as the lexer read every integer power
+        if kind != _POWERED and self.peek()[:2] == (_OP, "^"):
+            self.advance()
+            kind, val, pos = self.peek()
+            if kind == _OP and val == "-":
+                raise NegativeExponent("exponent must be non-negative", pos)
+            if kind not in (_MONO, _POWERED) or self.text[pos] in "xy":
+                self.fail("expected integer exponent after '^'")
+            # a rational literal, even 4/2: the grammar has no '/', so x^4/2 is not x^2
+            self.fail("exponent must be an integer literal")
+        if sign > 0:
             return node
-        self.fail("expected a number, variable, or '('")
+        return -node if isinstance(node, SparsePoly) else (-node[0], node[1], node[2])
 
 
 def parse_poly(text: str) -> SparsePoly:

@@ -7,7 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from akforge import poly
 from akforge.errors import InvalidInput, NegativeExponent, PolySyntaxError
 from akforge.poly import (
     EXPANSION_BUDGET,
@@ -308,7 +311,7 @@ def test_parse_literal_power_budget():
 
 def test_parse_nesting_limit():
     # the 101st '(' is refused where it stands, before the recursive parser
-    # could pass Python's recursion limit (at about 196 levels on its own)
+    # could pass Python's recursion limit (at about 330 levels on its own)
     assert parse_poly("(" * NESTING_LIMIT + "x" + ")" * NESTING_LIMIT) == parse_poly("x")
     for depth in (NESTING_LIMIT + 1, 2000):
         with pytest.raises(PolySyntaxError, match=f"more than {NESTING_LIMIT} deep") as exc:
@@ -319,6 +322,37 @@ def test_parse_nesting_limit():
 def test_parse_zero_denominator():
     with pytest.raises(PolySyntaxError):
         parse_poly("1/0")
+
+
+@pytest.mark.parametrize(
+    "template, position",
+    [
+        ("{}", 0),
+        ("x^{}", 2),
+        ("y + 2/{}*x", 6),
+        ("(x + y)^{}", 8),
+        # the first refused literal in the text is the one reported
+        ("1/0*{}", 2),
+        ("{}/0", 0),
+        ("x $ {}", 2),
+    ],
+)
+def test_parse_over_long_literal(template, position):
+    # int() reads at most sys.get_int_max_str_digits() digits (4,300 by
+    # default); a longer literal is a syntax error at its position
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(template.format("7" * 5000))
+    assert exc.value.position == position
+
+
+def test_parse_expansion_budget_counts_the_products_formed(monkeypatch):
+    # a product of literal factors is one monomial, so (y+1)*2*x forms one
+    # product of 2 term products, where multiplying by 2 and then by x formed 4
+    monkeypatch.setattr(poly, "EXPANSION_BUDGET", 2)
+    assert parse_poly("(y+1)*2*x") == parse_poly("2*x*y + 2*x")
+    monkeypatch.setattr(poly, "EXPANSION_BUDGET", 1)
+    with pytest.raises(InvalidInput, match="more than 1 term products"):
+        parse_poly("(y+1)*2*x")
 
 
 @pytest.mark.parametrize(
@@ -343,6 +377,27 @@ def test_parse_error_kinds_and_positions(text, error, position):
     with pytest.raises(error) as exc:
         parse_poly(text)
     assert type(exc.value) is error and exc.value.position == position
+
+
+# Coefficients with numerator and denominator up to 10^9, either sign, and
+# exponents either small (so terms merge) or up to 10^12.
+COEFFICIENTS = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, 10**12))
+POLYS = st.lists(
+    st.tuples(st.tuples(EXPONENTS, EXPONENTS), COEFFICIENTS), max_size=6
+).map(SparsePoly)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(POLYS)
+def test_text_round_trip_property(p):
+    assert parse_poly(p.to_text()) == p
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(POLYS)
+def test_json_round_trip_property(p):
+    assert SparsePoly.from_json_dict(p.to_json_dict()) == p
 
 
 def test_parse_sums_of_monomial_products_randomized():
