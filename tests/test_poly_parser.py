@@ -256,6 +256,9 @@ EXAMPLES = (
     "x^2^3", "2^0^-1", "(3^0^", "x^4/2", "x^1/2 + 1",
     "1/0*x", "1/00$", "(x+y)^2*3", "x*-y", "2 * x ^ 3", "x^02",
     "3^100000000000*x + y^2",
+    # a number power past the bit budget is refused where it is parsed, so
+    # an unknown character, a zero denominator or an earlier error comes first
+    "3^100000000000*x $", "2^100000000000*1/0", ") + 3^100000000000",
 )
 
 
