@@ -246,11 +246,31 @@ def workload_texts() -> list[str]:
     return list(dict.fromkeys(texts))
 
 
-# Operators, literals and the powers that the new lexer reads with its
-# factors, spaces, and two characters the grammar has no use for.
+# Token strings: operators, literals, the powers that the new lexer reads
+# with its factors, spaces, a zero denominator and two characters the grammar
+# has no use for.
 PIECES = (
     "x", "y", "0", "2", "10", "1/2", "4/2", "1/0", "+", "-", "*", "^", "(", ")",
     "^2", "^0", "^-1", "$", "\u00b2", " ",
+)
+TOKEN_STRINGS = st.lists(st.sampled_from(PIECES), max_size=24).map("".join)
+
+
+def grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(("+", "-", "*", " + ", " * ")), inner).map("".join),
+        st.tuples(st.sampled_from(("-", "+", "- ")), inner).map("".join),
+        inner.map("({})".format),
+        st.tuples(inner, st.sampled_from(("^2", "^0", "^3", " ^ 2", "^02"))).map("".join),
+    )
+
+
+# Most token strings fail at their first few characters, so texts are also
+# grown from the grammar, and some of those get one piece inserted.
+LITERALS = st.sampled_from(("x", "y", "0", "2", "10", "1/2", "4/2"))
+EXPRESSIONS = st.recursive(LITERALS, grow, max_leaves=8)
+INSERTED = st.tuples(EXPRESSIONS, st.integers(0, 60), st.sampled_from(PIECES)).map(
+    lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
 )
 EXAMPLES = (
     "x^2^3", "2^0^-1", "(3^0^", "x^4/2", "x^1/2 + 1",
@@ -269,7 +289,7 @@ def differential(test):
 
 
 @settings(derandomize=True, deadline=None, max_examples=1500)
-@given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join))
+@given(st.one_of(TOKEN_STRINGS, EXPRESSIONS, INSERTED))
 @differential
 def test_parser_matches_the_reference(text):
     assert outcome(parse_poly, text) == outcome(reference_parse, text)
