@@ -257,6 +257,11 @@ def _gap_powers(r, exponents: set[int]) -> dict:
     return out
 
 
+def horner_layers(rows: dict, layer) -> list:
+    """The (e, layer(row)) pairs of {e: row}, e falling: the layers subst_horner reads."""
+    return [(e, layer(row)) for e, row in sorted(rows.items(), reverse=True)]
+
+
 def subst_horner(layers: list, r):
     """The sum of c * r**e over the (e, c) pairs of layers, e falling, by Horner.
 

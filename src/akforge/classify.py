@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._xseries import XSeries, subst_horner
+from ._xseries import XSeries, horner_layers, subst_horner
 from .errors import (
     InvalidInput,
     MismatchedContract,
@@ -31,7 +31,7 @@ from .errors import (
     require_int,
 )
 from .poly import Monomial, SparsePoly
-from .series import TruncatedSeries, Weights
+from .series import TruncatedSeries
 
 
 class AkCertificate(NamedTuple):
@@ -40,8 +40,6 @@ class AkCertificate(NamedTuple):
     k: int
     coeff_z2: Fraction
     coeff_xk1: Fraction
-    weights: Weights
-    cutoff: int
     violations: tuple[tuple[Monomial, Fraction], ...] = ()
 
     @property
@@ -95,14 +93,7 @@ def newton_ak_certify(series: TruncatedSeries, expected_k: int) -> AkCertificate
         for m, c in series.terms()
         if (m.ex, m.ey) not in ((0, 2), (k1, 0)) and 2 * m.ex + k1 * m.ey <= 2 * k1
     )
-    return AkCertificate(
-        k=expected_k,
-        coeff_z2=coeff_z2,
-        coeff_xk1=coeff_xk1,
-        weights=series.weights,
-        cutoff=series.cutoff,
-        violations=violations,
-    )
+    return AkCertificate(expected_k, coeff_z2, coeff_xk1, violations)
 
 
 def _quadratic_entries(f: SparsePoly) -> tuple[Fraction, Fraction, Fraction]:
@@ -133,8 +124,7 @@ Layers = list[tuple[int, XSeries]]
 
 def _y_layers(f: SparsePoly) -> Layers:
     """(y-exponent, exact x-polynomial) pairs of f, highest exponent first."""
-    layers = sorted(f.coeffs_in_y().items(), reverse=True)
-    return [(e, XSeries.from_terms(c, max(c) + 1)) for e, c in layers]
+    return horner_layers(f.coeffs_in_y(), lambda c: XSeries.from_terms(c, max(c) + 1))
 
 
 def _dy(layers: Layers) -> Layers:

@@ -31,7 +31,12 @@ class MismatchedContract(AkforgeError):
 
 
 class PreconditionViolated(AkforgeError):
-    """A coordinate-change polynomial had a constant or degree-1 term."""
+    """An input missed a condition that a computation assumes.
+
+    ``invert_change`` raises it for a coordinate change with a constant or
+    degree-1 term, and the three Milnor oracles for a germ with a nonzero
+    constant term.
+    """
 
 
 class IdentityViolation(AkforgeError):

@@ -62,7 +62,6 @@ class FamilyCertificate(NamedTuple):
     """Aggregated evidence that member s carries an A_k point."""
 
     params: FamilyParams
-    residual: SparsePoly
     weights: Weights
     cutoff: int
     newton: AkCertificate
@@ -200,7 +199,7 @@ def certify_member(s: int, *, with_milnor: bool = False) -> FamilyCertificate:
     """Full certification pipeline for member s."""
     inst = build_F(s)
     p = inst.params
-    residual = verify_eq2(inst)
+    verify_eq2(inst)
 
     weights = Weights(2, p.k + 1)
     cutoff = 2 * (p.k + 1)
@@ -213,7 +212,6 @@ def certify_member(s: int, *, with_milnor: bool = False) -> FamilyCertificate:
     bound = upper_bound(p.d)
     cert = FamilyCertificate(
         params=p,
-        residual=residual,
         weights=weights,
         cutoff=cutoff,
         newton=newton,

@@ -367,10 +367,13 @@ EXPANSION_BUDGET = 10**5
 # Deepest nesting of parentheses; each level takes three frames of the recursive parser.
 NESTING_LIMIT = 100
 
-# Bits that one power c^e of a number may cost, counted as e times the bits
-# of c's numerator and denominator; past it the text is InvalidInput.  0, 1
-# and -1 cost nothing, so x^1000000000000 parses.  10^4 bits is about 3,000
-# decimal digits, below the 4,300 that Python prints by default.
+# Bits that one coefficient the parser forms may cost, counted as the bits of
+# its numerator and denominator; past it the text is InvalidInput.  A power
+# c^e of a number costs e times the bits of c and is checked before it is
+# computed; a product of numbers, of monomials or of polynomials is checked
+# on each coefficient it forms.  0, 1 and -1 cost nothing, so x^1000000000000
+# parses.  10^4 bits is about 3,000 decimal digits, below the 4,300 that
+# Python prints by default; a sum gains one bit per doubling of its terms.
 LITERAL_POWER_BITS = 10**4
 
 
@@ -397,10 +400,18 @@ def _literal_power(c: Scalar, e: int) -> Scalar:
     return c**e
 
 
+def _bounded(c: Scalar) -> Scalar:
+    """c, refused if its numerator and denominator pass LITERAL_POWER_BITS."""
+    if abs(c.numerator).bit_length() + c.denominator.bit_length() > LITERAL_POWER_BITS:
+        raise InvalidInput(f"a coefficient passes {LITERAL_POWER_BITS} bits")
+    return c
+
+
 def _monomial(text: str, start: int, end: int) -> tuple[int, object, int]:
     """The token of the literal product text[start:end], _POWERED if its last
     factor has a power.  Its value is (c, ex, ey), or the InvalidInput of its
-    first number power past LITERAL_POWER_BITS, raised where it is parsed."""
+    first number power or product past LITERAL_POWER_BITS, raised where it is
+    parsed."""
     c, ex, ey, refused = 1, 0, 0, None
     try:
         for num, den, var, power in _PARTS.findall(text, start, end):
@@ -413,7 +424,8 @@ def _monomial(text: str, start: int, end: int) -> tuple[int, object, int]:
                 v = Fraction(int(num), int(den)) if den else int(num)
                 if refused is None:
                     try:
-                        c *= _literal_power(v, e) if power else v
+                        v = _literal_power(v, e) if power else v
+                        c = v if c == 1 else _bounded(c * v)
                     except InvalidInput as exc:
                         refused = exc
     except (ValueError, ZeroDivisionError):
@@ -471,13 +483,17 @@ class _Parser:
         self.depth = 0
 
     def product(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
-        """a * b, charged its len(a) * len(b) term products against EXPANSION_BUDGET."""
+        """a * b, charged its len(a) * len(b) term products against EXPANSION_BUDGET;
+        each coefficient it forms is held to LITERAL_POWER_BITS."""
         self.pairs += len(a) * len(b)
         if self.pairs > EXPANSION_BUDGET:
             raise InvalidInput(
                 f"expanding the input forms more than {EXPANSION_BUDGET} term products"
             )
-        return a * b
+        out = a * b
+        for c in out._terms.values():
+            _bounded(c)
+        return out
 
     def peek(self):
         return self.tokens[self.pos]
@@ -522,7 +538,7 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if isinstance(node, tuple) and isinstance(rhs, tuple):
-                    node = (node[0] * rhs[0], node[1] + rhs[1], node[2] + rhs[2])
+                    node = (_bounded(node[0] * rhs[0]), node[1] + rhs[1], node[2] + rhs[2])
                 else:
                     node = self.product(_as_poly(node), _as_poly(rhs))
             else:

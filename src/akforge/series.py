@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._xseries import XSeries, subst_horner
+from ._xseries import XSeries, horner_layers, subst_horner
 # Unused here; kept because perfbench/spans.py patches series.conv_trunc by name.
 from ._xseries import conv_trunc  # noqa: F401
 from .errors import InvalidInput, PreconditionViolated, require_int
@@ -114,12 +114,6 @@ class _ZLayers:
             {Monomial(i, j): Fraction(v, c.den) for j, c in self.rows.items() for i, v in c.terms}
         )
 
-    def __add__(self, other: "_ZLayers") -> "_ZLayers":
-        rows = dict(self.rows)
-        for j, c in other.rows.items():
-            rows[j] = rows[j] + c if j in rows else c
-        return _ZLayers({j: c for j, c in rows.items() if c.terms}, self.window)
-
     def __mul__(self, other: "_ZLayers") -> "_ZLayers":
         return self.mul_add(other, _ZLayers({}, self.window))
 
@@ -136,15 +130,6 @@ class _ZLayers:
         return _ZLayers({j: c for j, c in rows.items() if c.terms}, self.window)
 
 
-def _subst(F: SparsePoly, r: _ZLayers) -> _ZLayers:
-    """F(x, r) in the window of r."""
-    layers = [
-        (e, _ZLayers.from_rows({0: row}, r.window))
-        for e, row in sorted(F.coeffs_in_y().items(), reverse=True)
-    ]
-    return subst_horner(layers, r) if layers else _ZLayers({}, r.window)
-
-
 # -- coordinate-change inversion -------------------------------------------
 
 
@@ -154,18 +139,22 @@ def invert_change(A: SparsePoly, weights: Weights, cutoff: int) -> TruncatedSeri
     This inverts the substitution z = y - A(x, y).  A must vanish to
     order 2 at the origin, which makes the fixed-point iteration
     y <- z + A(x, y) gain at least one unit of weighted order per pass.
-    Each pass substitutes the current iterate into A with the truncated
-    Horner scheme, so no term above the cutoff is ever multiplied out.
+    Each pass substitutes the current iterate into z + A with the truncated
+    Horner scheme, so no term above the cutoff is ever multiplied out.  The
+    layers of z + A in y are built once: z joins the y^0 layer of A.
     """
     weights = _checked_window(weights, cutoff)
     if A.order() < 2:
         raise PreconditionViolated("the perturbation must vanish to order 2 at the origin")
     if weights.wz > cutoff:
         raise InvalidInput("cutoff is too small to represent the new variable")
-    z = _ZLayers.from_rows({1: {0: 1}}, (*weights, cutoff))
-    phi = z
+    window = (*weights, cutoff)
+    rows = {e: {0: row} for e, row in A.coeffs_in_y().items()}
+    rows.setdefault(0, {})[1] = {0: 1}
+    layers = horner_layers(rows, lambda zrows: _ZLayers.from_rows(zrows, window))
+    phi = _ZLayers.from_rows({1: {0: 1}}, window)
     for _ in range(cutoff + 2):
-        nxt = z + _subst(A, phi)
+        nxt = subst_horner(layers, phi)
         if nxt.rows == phi.rows:
             return TruncatedSeries(phi.to_poly(), weights, cutoff)
         phi = nxt
@@ -179,5 +168,8 @@ def compose_curve(F: SparsePoly, y_series: TruncatedSeries) -> TruncatedSeries:
     never form a term above the series' cutoff.
     """
     weights, cutoff = y_series.weights, y_series.cutoff
-    r = _ZLayers.from_rows(y_series.body.coeffs_in_y(), (*weights, cutoff))
-    return TruncatedSeries(_subst(F, r).to_poly(), weights, cutoff)
+    window = (*weights, cutoff)
+    layers = horner_layers(F.coeffs_in_y(), lambda row: _ZLayers.from_rows({0: row}, window))
+    r = _ZLayers.from_rows(y_series.body.coeffs_in_y(), window)
+    body = subst_horner(layers, r).to_poly() if layers else SparsePoly.zero()
+    return TruncatedSeries(body, weights, cutoff)

@@ -167,6 +167,15 @@ def test_over_long_literal_is_a_syntax_error(capsys):
     assert err == "error: number literal has too many digits (at position 8)\n"
 
 
+@pytest.mark.parametrize(
+    "text", ["*".join(["2^3333"] * 5) + "*x^2 + y^2", "y^2 + x^3*(2^3333*x + 1)^8"]
+)
+def test_over_large_coefficient_exits_2(capsys, text):
+    code, out, err = run(capsys, "certify", "--poly", text)
+    assert (code, out) == (2, "")
+    assert err == "error: a coefficient passes 10000 bits\n"
+
+
 def test_poly_from_json_file(capsys, tmp_path):
     path = tmp_path / "cusp.json"
     path.write_text(json.dumps(parse_poly("y^2 + x^3").to_json_dict()))

@@ -13,6 +13,7 @@ from akforge.classify import AkCertificate, split_and_classify
 from akforge.errors import CertificationFailed, IdentityViolation, InvalidInput
 from akforge.family import (
     CurveInstance,
+    FamilyCertificate,
     FamilyParams,
     build_A,
     build_F,
@@ -183,17 +184,19 @@ def test_certificate_json_deterministic():
     assert a == b
 
 
+def test_certificate_records_hold_each_fact_once():
+    # the window's weights and cutoff are the family certificate's, and the
+    # residual is what verify_eq2 returns; the JSON prints only "ok" for it
+    assert AkCertificate._fields == ("k", "coeff_z2", "coeff_xk1", "violations")
+    assert "residual" not in FamilyCertificate._fields
+    assert certify_member(0).to_json_dict()["eq2_identity"] == "ok"
+
+
 def test_certification_failure_carries_certificate(monkeypatch):
     import akforge.family as family_mod
 
     def reject(series, expected_k):
-        return AkCertificate(
-            k=expected_k,
-            coeff_z2=1,
-            coeff_xk1=0,
-            weights=series.weights,
-            cutoff=series.cutoff,
-        )
+        return AkCertificate(k=expected_k, coeff_z2=1, coeff_xk1=0)
 
     monkeypatch.setattr(family_mod, "newton_ak_certify", reject)
     with pytest.raises(CertificationFailed) as err:
@@ -209,6 +212,9 @@ CERT_SHA256 = {
     1: "436711afd47a25dec1b82211f66e3f6be9861c95445081d1fe9cb61b57f40071",
     2: "568e0dc2265100c4d8131d9cbd771bb6993fc4bacea5458a16618d4e6c3432fc",
     4: "d6211d17c87fcd129884febc5609606f7f341e8f11c29147c3446226748871b5",
+    20: "679f2d29f321e104b78ffcae9167e917d79458a26411baac2e29676a1f8c9cdc",
+    10**3: "974ecbe46f55b99478e3388cf96ee6d287e3c2d226032b54d942246df598fa5d",
+    10**7: "0ab7cd8e7ae7753b101bbfd1fc47a42619807b585d6f88e83e4d5ef9af7ba7c3",
 }
 
 

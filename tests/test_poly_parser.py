@@ -279,6 +279,9 @@ EXAMPLES = (
     # a number power past the bit budget is refused where it is parsed, so
     # an unknown character, a zero denominator or an earlier error comes first
     "3^100000000000*x $", "2^100000000000*1/0", ") + 3^100000000000",
+    # and so is a coefficient past it that a product forms
+    "2^3333*2^3333*2^3333*2^3333*x $", ") + 2^3333*2^3333*2^3333*2^3333",
+    "x^y + (2^3333*x + 1)^8",
 )
 
 

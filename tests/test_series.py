@@ -100,6 +100,17 @@ def test_invert_degree_eight_perturbation_low_order():
     assert phi.body == parse_poly("y + x^4 + 2*x^3*y^2 - 2*x^2*y^4")
 
 
+def test_invert_reads_the_layers_of_A_once(monkeypatch):
+    # z joins A's y^0 layer, so every fixed-point pass substitutes into the
+    # same layers; the s = 0 member takes several passes
+    read = []
+    coeffs_in_y = SparsePoly.coeffs_in_y
+    monkeypatch.setattr(SparsePoly, "coeffs_in_y", lambda p: read.append(p) or coeffs_in_y(p))
+    A = parse_poly("x^4 + 2*x^3*y^2 - 2*x^2*y^4 + 4*x*y^6 - 10*y^8")
+    assert invert_change(A, Weights(2, 43), 86).body == invert_oracle(A, Weights(2, 43), 86)
+    assert read.count(A) == 1
+
+
 def test_invert_precondition():
     with pytest.raises(PreconditionViolated):
         invert_change(parse_poly("y"), W11, 4)
