@@ -189,7 +189,6 @@ def test_certificate_records_hold_each_fact_once():
     # residual is what verify_eq2 returns; the JSON prints only "ok" for it
     assert AkCertificate._fields == ("k", "coeff_z2", "coeff_xk1", "violations")
     assert "residual" not in FamilyCertificate._fields
-    assert certify_member(0).to_json_dict()["eq2_identity"] == "ok"
 
 
 def test_certification_failure_carries_certificate(monkeypatch):

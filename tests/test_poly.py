@@ -290,13 +290,18 @@ def test_parse_expansion_budget():
 
 
 def test_parse_literal_power_budget():
-    # 0, 1 and -1 cost nothing; any other number costs its bits times e
+    # 0, 1 and -1 cost nothing; any other number costs its bits times e, and
+    # a product costs the bits of each coefficient it forms
     assert parse_poly("x^1000000000000 + (-1)^1000000000001*y") == SparsePoly(
         {(1000000000000, 0): 1, (0, 1): -1}
     )
     assert parse_poly("0^1000000000000 + 1^1000000000000") == SparsePoly({(0, 0): 1})
     assert parse_poly("(2*x)^3333") == SparsePoly({(3333, 0): 2**3333})  # 9,999 bits
     assert parse_poly("(1/2)^3333*y") == SparsePoly({(0, 1): Fraction(1, 2**3333)})
+    assert parse_poly("2^3333*2^3333*x") == SparsePoly({(1, 0): 2**6666})  # 6,668 bits
+    assert parse_poly("(2^3333*x + 1)^2") == parse_poly("2^3333*2^3333*x^2 + 2*2^3333*x + 1")
+    # a literal past the budget is read as it stands; only a product is refused
+    assert parse_poly("1*" + "7" * 4000) == SparsePoly({(0, 0): int("7" * 4000)})
     for text in (
         "(2*x)^3334",
         "(2/3)^2501",  # 10,004 bits
@@ -304,48 +309,13 @@ def test_parse_literal_power_budget():
         "3^100000000000*x + y^2",
         "(3)^100000000000",
         "(3*x)^100000000000",
+        "*".join(["2^3333"] * 5) + "*x^2 + y^2",  # one literal product: 16,666 bits
+        "2^3333*2^3333*x * -2^3333*2^3333",  # a product of two monomials
+        "(2^3333*x + 1)*(2^3333*2^3333*y + 1)",  # a product of two polynomials
+        "(2^3333*x + 1)^8",  # a power of a polynomial: 26,665 bits
     ):
         with pytest.raises(InvalidInput, match=f"passes {LITERAL_POWER_BITS} bits"):
             parse_poly(text)
-
-
-BIG = "2^3333"  # 3,334 bits: within the budget alone, not as a product of three
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "*".join([BIG] * 5) + "*x^2 + y^2",  # one literal product: 16,666 bits
-        f"{BIG}*{BIG}*x * -{BIG}*{BIG}",  # a product of two monomial tokens
-        f"({BIG}*x + 1)*({BIG}*{BIG}*y + 1)",  # a product of two polynomials
-        f"({BIG}*x + 1)^8",  # a power of a polynomial: 26,665 bits
-    ],
-)
-def test_parse_bounds_every_coefficient_it_forms(text):
-    with pytest.raises(InvalidInput, match=f"a coefficient passes {LITERAL_POWER_BITS} bits"):
-        parse_poly(text)
-
-
-def test_parse_coefficient_within_the_budget():
-    assert parse_poly(f"{BIG}*{BIG}*x") == SparsePoly({(1, 0): 2**6666})
-    assert parse_poly(f"({BIG}*x + 1)^2") == parse_poly(f"{BIG}*{BIG}*x^2 + 2*{BIG}*x + 1")
-    # a literal longer than the budget, but not a product, is read as it stands
-    assert parse_poly("1*" + "7" * 4000) == SparsePoly({(0, 0): int("7" * 4000)})
-
-
-@pytest.mark.parametrize(
-    "text, position",
-    [
-        ("*".join([BIG] * 5) + "*x $", 37),
-        (") + " + "*".join([BIG] * 5), 0),
-        (f"x^y + ({BIG}*x + 1)^8", 2),
-    ],
-)
-def test_parse_refused_coefficient_is_raised_where_it_is_parsed(text, position):
-    # the lexer's errors come first, and an error before the product in text order
-    with pytest.raises(PolySyntaxError) as exc:
-        parse_poly(text)
-    assert exc.value.position == position
 
 
 def test_parse_nesting_limit():
