@@ -8,8 +8,12 @@ oracle-crosscheck benchmark workload at seed 101 runs in exact arithmetic,
 on F(0) with the hint 42 and with no hint, and on the non-isolated germs
 (y - x^2)^2 and (y - x^5)^2.  Every truncation degree the search builds a
 relation matrix for (a rung) is recorded by wrapping
-``_dimension_profile(fx, fy, m_top)`` in ``akforge.milnor``, so the script
-runs against any checkout whose ``_dimension_profile`` has that signature.
+``_dimension_profile(fx, fy, m_top)`` in ``akforge.milnor``, and the row
+count and rank of that matrix by wrapping the ``rank_profile_sparse(rows,
+ncols)`` it calls, so the script runs against any checkout whose
+``_dimension_profile`` has that signature and calls that name.  Under
+``rung_rows``, a case records per rung degree the matrices built, their
+rows and their ranks, summed over its calls.
 The germs come from ``perfbench/workloads.py`` of the checkout the script
 sits in.  Each case runs up to three times, stopping once 10 s have been
 spent on it; the median run is reported.  A run still going after 60 s is
@@ -32,15 +36,23 @@ from akforge.poly import parse_poly
 
 from _common import Wrap, environment, median_run, parse_label, store, workloads, wrapped
 
-RUNGS = Wrap(milnor, ("_dimension_profile",))
+RUNGS = Wrap(milnor, ("_dimension_profile", "rank_profile_sparse"))
 SEED = 101
 OUT = Path(__file__).resolve().parent / "BENCH_milnor.json"
 
 
 def timed_calls(calls: list[tuple]) -> dict:
     """Run ``milnor_number`` on each (poly, hint); time the lot."""
-    reports, rungs = [], []
-    with wrapped(RUNGS, lambda name, args, out: rungs[-1].append(str(args[2]))):
+    reports, rungs, sizes = [], [], []
+
+    def after(name: str, args: tuple, out: list) -> None:
+        # rank_profile_sparse returns inside _dimension_profile, so first
+        if name == "rank_profile_sparse":
+            sizes.append((len(args[0]), len(out)))
+        else:
+            rungs[-1].append(str(args[2]))
+
+    with wrapped(RUNGS, after):
         t0 = time.perf_counter()
         for f, hint in calls:
             rungs.append([])
@@ -49,14 +61,20 @@ def timed_calls(calls: list[tuple]) -> dict:
             except NonIsolated as exc:
                 reports.append(f"NonIsolated: {exc}")
         total = time.perf_counter() - t0
-    return {"total_s": round(total, 4), "reports": reports, "rungs": rungs}
+    rung_rows: dict[str, dict] = {}
+    for m, (n_rows, rank) in zip((m for r in rungs for m in r), sizes, strict=True):
+        row = rung_rows.setdefault(m, {"matrices": 0, "rows": 0, "rank": 0})
+        row["matrices"] += 1
+        row["rows"] += n_rows
+        row["rank"] += rank
+    return {"total_s": round(total, 4), "reports": reports, "rungs": rungs, "rung_rows": rung_rows}
 
 
 def measure(calls: list[tuple]) -> dict:
     run = median_run(lambda: timed_calls(calls))
     if "stopped" in run:
         return run
-    row = {"total_s": run["total_s"], "repeats": run["repeats"]}
+    row = {"total_s": run["total_s"], "repeats": run["repeats"], "rung_rows": run["rung_rows"]}
     if len(calls) == 1:
         row["report"], row["rungs"] = run["reports"][0], run["rungs"][0]
     else:

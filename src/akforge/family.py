@@ -129,8 +129,8 @@ def family_params(s: int) -> FamilyParams:
     m = 7 * s + 2
     d = 28 * s + 9
     k = 420 * s * s + 269 * s + 42
-    assert d == 4 * m + 1 == 7 * l + m
-    assert k + 1 == l * (20 * m + 3)
+    if not (d == 4 * m + 1 == 7 * l + m and k + 1 == l * (20 * m + 3)):
+        raise AssertionError(f"the family parameters of s = {s} break their identities")
     return FamilyParams(s=s, l=l, m=m, d=d, k=k)
 
 

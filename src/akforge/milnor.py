@@ -8,7 +8,10 @@ multiples of the two partial derivatives inside polynomials of total degree
 below M.  D is non-decreasing in M, and one consecutive equality
 D(M+1) = D(M) pins the value exactly: it forces the M-th power of the
 maximal ideal into the Jacobian ideal, after which nothing new can appear.
-Every rank is computed by exact sparse elimination over the integers.
+Every rank is computed by exact sparse elimination over the integers, on
+the truncated multiples of f_y and those of f_x whose multiplier the leading
+term of f_y does not divide: the Koszul syzygy f_y*f_x = f_x*f_y puts the
+others in the span of the rest, so no D(M) changes (_relation_rows).
 
 Resultant valuation: after an origin-fixing shear that pushes all other
 critical points off the line x = 0, the Milnor number at the origin is the
@@ -112,15 +115,39 @@ def _col_index(i: int, j: int) -> int:
 
 
 def _relation_rows(fx: dict, fy: dict, m_top: int) -> list[dict[int, int]]:
-    """Rows spanning {monomial * partial, truncated below degree m_top}."""
+    """Rows spanning {monomial * partial, truncated below degree m_top}.
+
+    Every row trunc(u*fy) is emitted, and every row trunc(u*fx) except those
+    whose multiplier u is divisible by n0, the leading term of fy in the
+    local order: least total degree first, ties broken by the larger
+    x-exponent.  The dropped rows lie in the span of the kept ones (the
+    Koszul syzygy fy*fx - fx*fy = 0, the redundancy that Faugere's F5
+    criterion removes from Macaulay matrices), so the row space, its pivot
+    columns and every D(m) read from them are those of all the rows.
+
+    Proof.  Write fx = sum_i a_i*m_i and fy = sum_j b_j*n_j, b_0 != 0 at n0.
+    The order is compatible with products: n_j after n0 gives n_j*w after
+    n0*w.  For every monomial w, sum_i a_i*m_i*w*fy = sum_j b_j*n_j*w*fx,
+    and truncation below m_top is linear, so
+    b_0*trunc(n0*w*fx) = sum_i a_i*trunc(m_i*w*fy) - sum_{j>0} b_j*trunc(n_j*w*fx).
+    Each trunc(m_i*w*fy) is an emitted row or zero: a multiplier past the
+    range below has every product term at degree m_top or more.  Each
+    trunc(n_j*w*fx) has a multiplier after n0*w in the order; it is zero, a
+    kept row, or a dropped one.  The nonzero rows are finitely many, so by
+    induction from the last multiplier in the order down, every dropped row
+    is a rational combination of kept rows.  The elimination stays exact.
+    """
+    n0 = min(fy, key=lambda t: (t[0] + t[1], -t[0]), default=None)
     rows: list[dict[int, int]] = []
-    for terms in (fx, fy):
+    for terms, skip in ((fx, n0), (fy, None)):
         if not terms:
             continue
         og = min(tx + ty for tx, ty in terms)
         for du in range(m_top - og):
             for a in range(du + 1):
                 b = du - a
+                if skip is not None and a >= skip[0] and b >= skip[1]:
+                    continue
                 row = {}
                 for (tx, ty), c in terms.items():
                     if a + tx + b + ty < m_top:
@@ -170,7 +197,10 @@ def milnor_number(
     point never stabilizes, so D(top) >= top exceeds (d-1)^2, which proves
     it non-isolated and raises NonIsolated.
 
-    The elimination is always exact.  ``arithmetic`` may be "exact" or
+    Each rung eliminates the rows of _relation_rows, which leaves out the
+    multiples of f_x that the Koszul syzygy makes redundant: on F(0) at the
+    rung 45, 1,031 rows instead of 1,851, with the same 993 pivots.  The
+    elimination is always exact.  ``arithmetic`` may be "exact" or
     "modular"; both run the same exact elimination and report "exact".
     """
     if arithmetic not in ("exact", "modular"):
@@ -185,7 +215,8 @@ def milnor_number(
     m_run = min(max(first, 2), top)
     while True:
         dims = _dimension_profile(fx, fy, m_run)
-        assert all(a <= b for a, b in zip(dims, dims[1:])), "D(M) must be monotone"
+        if any(a > b for a, b in zip(dims, dims[1:])):
+            raise AssertionError(f"D(m) must be non-decreasing, got {dims}")
         for m in range(1, m_run):
             if dims[m + 1] == dims[m]:
                 return MilnorReport(dims[m], TRUNCATED_METHOD, m, "exact")

@@ -682,6 +682,65 @@ def test_milnor_number_matches_one_profile_at_the_bezout_rung(f):
     assert milnor_number(f) == MilnorReport(dims[m], "truncated-local-algebra", m, "exact")
 
 
+def _unpruned_rows(fx: dict, fy: dict, m_top: int) -> list[dict[int, int]]:
+    """The reference: every truncated monomial multiple of both partials,
+    as milnor._relation_rows built them before it left out the multiples of
+    f_x that the Koszul syzygy makes redundant."""
+    rows: list[dict[int, int]] = []
+    for terms in (fx, fy):
+        if not terms:
+            continue
+        og = min(tx + ty for tx, ty in terms)
+        for du in range(m_top - og):
+            for a in range(du + 1):
+                b = du - a
+                row = {}
+                for (tx, ty), c in terms.items():
+                    if a + tx + b + ty < m_top:
+                        row[milnor_mod._col_index(a + tx, b + ty)] = c
+                if row:
+                    rows.append(row)
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(local_germs())
+@example(parse_poly("x + y^2"))  # f_x = 1: every multiple of f_x is dropped
+@example(parse_poly("y + x^2"))  # f_y = 1
+@example(parse_poly("x^3"))  # f_y = 0: nothing is dropped
+@example(parse_poly("y^3"))  # f_x = 0
+@example(parse_poly("x^2"))  # non-isolated
+@example(parse_poly("(y - x^2)^2"))  # non-isolated, f_y of least degree 1
+def test_dimension_profile_matches_the_unpruned_rows(f):
+    fx, fy = milnor_mod._partials(milnor_mod._integer_terms(f))
+    for m in range(1, 17):
+        ncols = m * (m + 1) // 2
+        reference = milnor_mod._profile_to_dims(
+            milnor_mod.rank_profile_sparse(_unpruned_rows(fx, fy, m), ncols), m
+        )
+        assert milnor_mod._dimension_profile(fx, fy, m) == reference, (f, m)
+
+
+def test_relation_rows_of_F0_at_the_hinted_rung():
+    # F(0) with the hint 42 is eliminated at M = 45: 820 of the 1,851 rows
+    # are Koszul-redundant multiples of f_x, and the pivots are the same
+    fx, fy = milnor_mod._partials(milnor_mod._integer_terms(member_s0()))
+    ncols = 45 * 46 // 2
+    rows = milnor_mod._relation_rows(fx, fy, 45)
+    reference = _unpruned_rows(fx, fy, 45)
+    assert (len(rows), len(reference)) == (1031, 1851)
+    pivots = milnor_mod.rank_profile_sparse(rows, ncols)
+    assert len(pivots) == 993
+    assert pivots == milnor_mod.rank_profile_sparse(reference, ncols)
+
+
+def test_milnor_number_raises_on_a_decreasing_profile(monkeypatch):
+    # an explicit raise, so the check also runs under python -O
+    monkeypatch.setattr(milnor_mod, "_dimension_profile", lambda fx, fy, m: [0, 1, 3, 2])
+    with pytest.raises(AssertionError, match="non-decreasing"):
+        milnor_number(parse_poly("y^2 + x^3"))
+
+
 # -- Fulton's algorithm --------------------------------------------------------
 
 
