@@ -46,7 +46,7 @@ def timed_calls(calls: list[tuple]) -> dict:
     reports, rungs, sizes = [], [], []
 
     def after(name: str, args: tuple, out: list) -> None:
-        # rank_profile_sparse returns inside _dimension_profile, so first
+        # each _dimension_profile makes one rank_profile_sparse call: zipped below
         if name == "rank_profile_sparse":
             sizes.append((len(args[0]), len(out)))
         else:

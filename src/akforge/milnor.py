@@ -125,13 +125,15 @@ def _relation_rows(fx: dict, fy: dict, m_top: int) -> list[dict[int, int]]:
     criterion removes from Macaulay matrices), so the row space, its pivot
     columns and every D(m) read from them are those of all the rows.
 
-    Proof.  Write fx = sum_i a_i*m_i and fy = sum_j b_j*n_j, b_0 != 0 at n0.
-    The order is compatible with products: n_j after n0 gives n_j*w after
-    n0*w.  For every monomial w, sum_i a_i*m_i*w*fy = sum_j b_j*n_j*w*fx,
-    and truncation below m_top is linear, so
-    b_0*trunc(n0*w*fx) = sum_i a_i*trunc(m_i*w*fy) - sum_{j>0} b_j*trunc(n_j*w*fx).
-    Each trunc(m_i*w*fy) is an emitted row or zero: a multiplier past the
-    range below has every product term at degree m_top or more.  Each
+    Proof.  Write fx = sum_i a_i*m_i and fy = sum_j b_j*n_j over distinct
+    monomials, with n_0 = n0.  The order is compatible with products: n_j
+    after n0 gives n_j*w after n0*w.  For every monomial w,
+    sum_i a_i*m_i*w*fy = sum_j b_j*n_j*w*fx, and truncation below m_top is
+    linear, so
+        b_0*trunc(n0*w*fx) = sum_i a_i*trunc(m_i*w*fy)
+                             - sum_{j>0} b_j*trunc(n_j*w*fx).
+    Each trunc(m_i*w*fy) is an emitted row or zero: a multiplier of degree
+    m_top - ord(fy) or more puts every term at degree m_top or more.  Each
     trunc(n_j*w*fx) has a multiplier after n0*w in the order; it is zero, a
     kept row, or a dropped one.  The nonzero rows are finitely many, so by
     induction from the last multiplier in the order down, every dropped row
