@@ -11,9 +11,9 @@ from a temporary copy of ``src/akforge`` without ``__pycache__``, with
 ``PYTHONDONTWRITEBYTECODE=1``, so each one compiles the package as a fresh
 clone does while the standard library keeps its bytecode cache.  The
 inputs take turns for RUNS rounds; each gets the median and quartiles of
-its wall and child CPU seconds, the sha256 of what it printed, and which of
-numpy, dataclasses and inspect it loaded (read from one more, untimed run
-under ``-X importtime``).  The record, with the environment, is stored
+its wall and child CPU seconds, the sha256 of what it printed, which of
+numpy, dataclasses and inspect it loaded, and the sorted akforge submodules
+it imported (both read from one more, untimed run under ``-X importtime``).  The record, with the environment, is stored
 under ``runs[<label>]`` of ``benchmarks/BENCH_cli.json``; records under
 other labels are kept, so one file holds the numbers of two checkouts.
 """
@@ -103,6 +103,7 @@ def cold_cli(src: Path) -> dict:
             "cpu_s": summary(cpu[case]),
             "stdout_sha256": hashlib.sha256(printed[case]).hexdigest(),
             "loads": {m: m in loaded[case] for m in WATCHED},
+            "akforge_modules": sorted(m for m in loaded[case] if m.startswith("akforge.")),
         }
         for case in cases
     }

@@ -8,104 +8,84 @@ truncated local algebra, the resultant valuation and Fulton's
 intersection-multiplicity algorithm), and compares the construction against
 the general degree bound k <= (d-1)^2 - floor(d/2)(floor(d/2) - 1).
 
-Importing the package loads neither numpy nor inspect: the records are
-NamedTuples, and the resultant oracle imports numpy when it first runs.
+Importing the package loads no submodule: each public name is imported
+from its module when it is first used, so a CLI verb loads only the modules
+it runs.  Nothing loads numpy or inspect: the records are NamedTuples, and
+the resultant oracle imports numpy when it first runs.
 """
 
 from __future__ import annotations
 
-from akforge.bounds import (
-    InertiaIndices,
-    RatioRow,
-    ratio_table,
-    steenbrink_inertia,
-    upper_bound,
-)
-from akforge.classify import (
-    AkCertificate,
-    AkResult,
-    hessian_corank,
-    newton_ak_certify,
-    split_and_classify,
-)
-from akforge.errors import (
-    AkforgeError,
-    BudgetExceeded,
-    CertificationFailed,
-    GenericityFailure,
-    IdentityViolation,
-    InvalidInput,
-    MismatchedContract,
-    NegativeExponent,
-    NonIsolated,
-    NotACriticalGerm,
-    PolySyntaxError,
-    PreconditionViolated,
-    WindowTooSmall,
-)
-from akforge.family import (
-    CurveInstance,
-    FamilyCertificate,
-    FamilyParams,
-    build_A,
-    build_F,
-    certify_member,
-    family_params,
-    verify_eq2,
-)
-from akforge.milnor import (
-    MilnorReport,
-    milnor_fulton,
-    milnor_number,
-    milnor_resultant,
-)
-from akforge.poly import Monomial, SparsePoly, parse_poly
-from akforge.series import TruncatedSeries, Weights, compose_curve, invert_change
+import sys
+
+# Public name -> the submodule that defines it.  A name is imported on first
+# use (PEP 562), so `import akforge` loads no submodule.
+_SOURCES = {
+    "akforge.bounds": (
+        "InertiaIndices",
+        "RatioRow",
+        "ratio_table",
+        "steenbrink_inertia",
+        "upper_bound",
+    ),
+    "akforge.classify": (
+        "AkCertificate",
+        "AkResult",
+        "hessian_corank",
+        "newton_ak_certify",
+        "split_and_classify",
+    ),
+    "akforge.errors": (
+        "AkforgeError",
+        "BudgetExceeded",
+        "CertificationFailed",
+        "GenericityFailure",
+        "IdentityViolation",
+        "InvalidInput",
+        "MismatchedContract",
+        "NegativeExponent",
+        "NonIsolated",
+        "NotACriticalGerm",
+        "PolySyntaxError",
+        "PreconditionViolated",
+        "WindowTooSmall",
+    ),
+    "akforge.family": (
+        "CurveInstance",
+        "FamilyCertificate",
+        "FamilyParams",
+        "build_A",
+        "build_F",
+        "certify_member",
+        "family_params",
+        "verify_eq2",
+    ),
+    "akforge.milnor": (
+        "MilnorReport",
+        "milnor_fulton",
+        "milnor_number",
+        "milnor_resultant",
+    ),
+    "akforge.poly": ("Monomial", "SparsePoly", "parse_poly"),
+    "akforge.series": ("TruncatedSeries", "Weights", "compose_curve", "invert_change"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(module)  # the import statement's path, so -X importtime shows it
+    value = getattr(sys.modules[module], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AkCertificate",
-    "AkResult",
-    "AkforgeError",
-    "BudgetExceeded",
-    "CertificationFailed",
-    "CurveInstance",
-    "FamilyCertificate",
-    "FamilyParams",
-    "GenericityFailure",
-    "IdentityViolation",
-    "InertiaIndices",
-    "InvalidInput",
-    "MilnorReport",
-    "MismatchedContract",
-    "Monomial",
-    "NegativeExponent",
-    "NonIsolated",
-    "NotACriticalGerm",
-    "PolySyntaxError",
-    "PreconditionViolated",
-    "RatioRow",
-    "SparsePoly",
-    "TruncatedSeries",
-    "Weights",
-    "WindowTooSmall",
-    "build_A",
-    "build_F",
-    "certify_member",
-    "compose_curve",
-    "family_params",
-    "hessian_corank",
-    "invert_change",
-    "milnor_fulton",
-    "milnor_number",
-    "milnor_resultant",
-    "newton_ak_certify",
-    "parse_poly",
-    "ratio_table",
-    "split_and_classify",
-    "steenbrink_inertia",
-    "upper_bound",
-    "verify_eq2",
-    "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]

@@ -19,7 +19,7 @@ x^(2p), dividing by f_yy(x, h) mod x^p.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._xseries import XSeries, horner_layers, subst_horner
 from .errors import (
@@ -31,7 +31,9 @@ from .errors import (
     require_int,
 )
 from .poly import Monomial, SparsePoly
-from .series import TruncatedSeries
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries
 
 
 class AkCertificate(NamedTuple):

@@ -10,6 +10,15 @@ Verbs:
 
 Exit codes: 0 success / certified; 1 well-formed input whose certification
 or classification did not succeed; 2 usage or input errors.
+
+Each verb imports only the modules it runs, besides this one and `errors`:
+
+    construct     family, series, classify, _xseries, poly, bounds
+                  (--milnor adds milnor, _modp, _exactrank)
+    certify       poly, classify, _xseries
+    milnor        poly, milnor, _modp, _exactrank
+    bound         bounds
+    family-table  bounds, family and what family imports
 """
 
 from __future__ import annotations
@@ -18,13 +27,6 @@ import argparse
 import json
 import sys
 
-from akforge.bounds import (
-    ratio_table,
-    ratio_table_csv,
-    ratio_table_json,
-    upper_bound,
-)
-from akforge.classify import split_and_classify
 from akforge.errors import (
     AkforgeError,
     BudgetExceeded,
@@ -33,11 +35,41 @@ from akforge.errors import (
     PolySyntaxError,
     require_int,
 )
-from akforge.family import certify_member
-from akforge.milnor import milnor_fulton, milnor_number, milnor_resultant
-from akforge.poly import SparsePoly, parse_poly
 
 __all__ = ["main", "build_parser"]
+
+# Entry point -> the module that defines it.  A verb imports its entry points
+# on first use (PEP 562), so it loads only the modules it runs.  A value set
+# on this module, such as a test's spy, is what the verbs then call.
+_ENTRY_POINTS = {
+    "SparsePoly": "akforge.poly",
+    "certify_member": "akforge.family",
+    "milnor_fulton": "akforge.milnor",
+    "milnor_number": "akforge.milnor",
+    "milnor_resultant": "akforge.milnor",
+    "parse_poly": "akforge.poly",
+    "ratio_table": "akforge.bounds",
+    "ratio_table_csv": "akforge.bounds",
+    "ratio_table_json": "akforge.bounds",
+    "split_and_classify": "akforge.classify",
+    "upper_bound": "akforge.bounds",
+}
+
+
+def __getattr__(name: str):
+    module = _ENTRY_POINTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(module)  # the import statement's path, so -X importtime shows it
+    value = getattr(sys.modules[module], name)
+    globals()[name] = value
+    return value
+
+
+def _entry(name: str):
+    """The entry point `name` as this module holds it now."""
+    namespace = globals()
+    return namespace[name] if name in namespace else __getattr__(name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_poly(src: str) -> SparsePoly:
+def _load_poly(src: str):
     if src.startswith("@"):
         with open(src[1:], "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
             except RecursionError:
                 raise InvalidInput(f"{src[1:]}: JSON nested too deeply to read") from None
-        return SparsePoly.from_json_dict(data)
-    return parse_poly(src)
+        return _entry("SparsePoly").from_json_dict(data)
+    return _entry("parse_poly")(src)
 
 
 def _dump(payload) -> str:
@@ -123,13 +155,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _run_construct(args) -> int:
-    cert = certify_member(args.s, with_milnor=args.milnor)
+    cert = _entry("certify_member")(args.s, with_milnor=args.milnor)
     _emit(_dump(cert.to_json_dict()), args.out)
     return 0
 
 
 def _run_certify(args) -> int:
-    result = split_and_classify(_load_poly(args.poly), cap=args.max_k)
+    result = _entry("split_and_classify")(_load_poly(args.poly), cap=args.max_k)
     sys.stdout.write(
         _dump({"kind": result.kind, "k": result.k, "cap": result.cap})
     )
@@ -139,13 +171,13 @@ def _run_certify(args) -> int:
 def _run_milnor(args) -> int:
     f = _load_poly(args.poly)
     if args.modular:
-        report = milnor_resultant(f, arithmetic="modular")
+        report = _entry("milnor_resultant")(f, arithmetic="modular")
     else:
         # Fulton's algorithm first; past its term budget, the exact local algebra.
         try:
-            report = milnor_fulton(f)
+            report = _entry("milnor_fulton")(f)
         except BudgetExceeded:
-            report = milnor_number(f)
+            report = _entry("milnor_number")(f)
     sys.stdout.write(
         _dump(
             {
@@ -160,6 +192,7 @@ def _run_milnor(args) -> int:
 
 
 def _run_bound(args, parser: argparse.ArgumentParser) -> int:
+    upper_bound = _entry("upper_bound")
     if args.table:
         if args.max_d is None:
             parser.error("bound --table requires --max-d")
@@ -176,11 +209,11 @@ def _run_bound(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _run_family_table(args) -> int:
-    rows = ratio_table(args.max_s)
+    rows = _entry("ratio_table")(args.max_s)
     if args.csv:
-        sys.stdout.write(ratio_table_csv(rows))
+        sys.stdout.write(_entry("ratio_table_csv")(rows))
     else:
-        sys.stdout.write(_dump(ratio_table_json(rows)))
+        sys.stdout.write(_dump(_entry("ratio_table_json")(rows)))
     return 0
 
 

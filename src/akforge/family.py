@@ -19,14 +19,16 @@ effective and `certify_member` replays it with exact arithmetic:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from akforge.bounds import upper_bound
 from akforge.classify import AkCertificate, newton_ak_certify
 from akforge.errors import CertificationFailed, IdentityViolation, InvalidInput, require_int
-from akforge.milnor import MilnorReport, milnor_fulton
 from akforge.poly import SparsePoly, format_rational
-from akforge.series import TruncatedSeries, Weights, compose_curve, invert_change
+from akforge.series import Weights, compose_curve, invert_change
+
+if TYPE_CHECKING:
+    from akforge.milnor import MilnorReport
 
 __all__ = [
     "FamilyParams",
@@ -207,7 +209,12 @@ def certify_member(s: int, *, with_milnor: bool = False) -> FamilyCertificate:
     window = compose_curve(inst.F, y_series)
     newton = newton_ak_certify(window, p.k)
 
-    milnor = milnor_fulton(inst.F) if with_milnor else None
+    milnor = None
+    if with_milnor:
+        # The oracle's modules load only when a certificate asks for it.
+        from akforge.milnor import milnor_fulton
+
+        milnor = milnor_fulton(inst.F)
 
     bound = upper_bound(p.d)
     cert = FamilyCertificate(

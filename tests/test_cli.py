@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import akforge
+import akforge.cli
 from akforge._modp import primes_from_seed
 from akforge.cli import main
 from akforge.family import build_F
@@ -433,3 +434,100 @@ def test_cli_paths_never_load_numpy(argv, key, value):
     proc = _python(_CLI_WITHOUT_NUMPY, *argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)[key] == value
+
+
+# -- cold start: each verb loads only the modules it runs --------------------
+
+_RUN_AS_MAIN = (
+    "import runpy, sys\n"
+    "sys.argv = ['akforge', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('akforge', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+    "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('akforge.'))))"
+)
+_CERTIFIER = {"cli", "errors", "poly", "classify", "_xseries", "family", "series", "bounds"}
+_ORACLES = {"milnor", "_modp", "_exactrank"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["milnor", "--poly", build_F(0).F.to_text()], {"cli", "errors", "poly"} | _ORACLES),
+        (["certify", "--poly", build_F(1).F.to_text()], {"cli", "errors", "poly", "classify", "_xseries"}),
+        (["construct", "--s", "1"], _CERTIFIER),
+        (["bound", "--d", "9"], {"cli", "errors", "bounds"}),
+    ],
+    ids=["milnor", "certify", "construct", "bound"],
+)
+def test_each_verb_loads_only_its_modules(argv, modules):
+    proc = _python(_RUN_AS_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stderr.decode().splitlines()[-1].split()
+    assert set(loaded) == {f"akforge.{m}" for m in modules}
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = _python("import sys, akforge; print([m for m in sys.modules if m.startswith('akforge.')])")
+    assert proc.returncode == 0 and proc.stdout == b"[]\n", proc.stderr
+
+
+# -- the lazy namespaces -----------------------------------------------------
+
+
+def test_public_names_are_their_module_attributes():
+    for name in set(akforge.__all__) - {"__version__"}:
+        value = getattr(akforge, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(akforge.__all__) <= set(dir(akforge))
+    namespace = {}
+    exec("from akforge import *", namespace)
+    assert set(akforge.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", [akforge, akforge.cli], ids=["akforge", "cli"])
+def test_unknown_attribute_is_named(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+
+
+def test_cli_patch_sites_resolve_in_a_fresh_interpreter():
+    names = ("main", "parse_poly", "split_and_classify", "milnor_number")
+    proc = _python(
+        "import akforge.cli as cli\n"
+        f"for name in {names!r}:\n"
+        "    print(name, getattr(cli, name).__module__)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "main akforge.cli",
+        "parse_poly akforge.poly",
+        "split_and_classify akforge.classify",
+        "milnor_number akforge.milnor",
+    ]
+
+
+# perfbench's traced CLI sets its span wrappers on these names of akforge.cli.
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("parse_poly", ["certify", "--poly", "y^2 + x^3"]),
+        ("split_and_classify", ["certify", "--poly", "y^2 + x^3"]),
+        ("milnor_number", ["milnor", "--poly", "(2*y + x^2)^2 + (x + 2*y + x*y^2)^9"]),
+    ],
+)
+def test_a_value_set_on_the_cli_is_what_the_verb_calls(capsys, monkeypatch, name, argv):
+    real = getattr(akforge.cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(akforge.cli, name, spy)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
