@@ -19,12 +19,15 @@ from __future__ import annotations
 import sys
 
 # Public name -> the submodule that defines it.  A name is imported on first
-# use (PEP 562), so `import akforge` loads no submodule.
+# use (PEP 562), so `import akforge` loads no submodule.  The CLI reads its
+# entry points through this table too.
 _SOURCES = {
     "akforge.bounds": (
         "InertiaIndices",
         "RatioRow",
         "ratio_table",
+        "ratio_table_csv",
+        "ratio_table_json",
         "steenbrink_inertia",
         "upper_bound",
     ),

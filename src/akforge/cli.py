@@ -19,6 +19,11 @@ Each verb imports only the modules it runs, besides this one and `errors`:
     milnor        poly, milnor, _modp, _exactrank
     bound         bounds
     family-table  bounds, family and what family imports
+
+A verb reads each entry point it calls (`parse_poly`, `certify_member`, ...)
+as an attribute of this module.  A value set here, such as a test's spy, is
+what the verb calls; otherwise the name resolves through the lazy `akforge`
+namespace, whose one table imports the defining module on first use.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import argparse
 import json
 import sys
 
+import akforge
 from akforge.errors import (
     AkforgeError,
     BudgetExceeded,
@@ -38,38 +44,18 @@ from akforge.errors import (
 
 __all__ = ["main", "build_parser"]
 
-# Entry point -> the module that defines it.  A verb imports its entry points
-# on first use (PEP 562), so it loads only the modules it runs.  A value set
-# on this module, such as a test's spy, is what the verbs then call.
-_ENTRY_POINTS = {
-    "SparsePoly": "akforge.poly",
-    "certify_member": "akforge.family",
-    "milnor_fulton": "akforge.milnor",
-    "milnor_number": "akforge.milnor",
-    "milnor_resultant": "akforge.milnor",
-    "parse_poly": "akforge.poly",
-    "ratio_table": "akforge.bounds",
-    "ratio_table_csv": "akforge.bounds",
-    "ratio_table_json": "akforge.bounds",
-    "split_and_classify": "akforge.classify",
-    "upper_bound": "akforge.bounds",
-}
-
 
 def __getattr__(name: str):
-    module = _ENTRY_POINTS.get(name)
-    if module is None:
+    # Only public names: the package's own dunders, such as __path__, stay its own.
+    if name not in akforge.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    __import__(module)  # the import statement's path, so -X importtime shows it
-    value = getattr(sys.modules[module], name)
-    globals()[name] = value
-    return value
+    return getattr(akforge, name)
 
 
 def _entry(name: str):
-    """The entry point `name` as this module holds it now."""
+    """The value set on this module for `name` if there is one, else the package's."""
     namespace = globals()
-    return namespace[name] if name in namespace else __getattr__(name)
+    return namespace[name] if name in namespace else getattr(akforge, name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,9 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_construct = sub.add_parser(
-        "construct", help="build and certify one family member"
-    )
+    p_construct = sub.add_parser("construct", help="build and certify one family member")
+    p_construct.set_defaults(run=_run_construct)
     p_construct.add_argument("--s", type=int, required=True, metavar="N")
     p_construct.add_argument(
         "--milnor",
@@ -90,9 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_construct.add_argument("--out", metavar="FILE", default=None)
 
-    p_certify = sub.add_parser(
-        "certify", help="classify a polynomial germ at the origin"
-    )
+    p_certify = sub.add_parser("certify", help="classify a polynomial germ at the origin")
+    p_certify.set_defaults(run=_run_certify)
     p_certify.add_argument("--poly", required=True, metavar="SRC")
     p_certify.add_argument(
         "--max-k",
@@ -106,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_milnor = sub.add_parser("milnor", help="Milnor number at the origin")
+    p_milnor.set_defaults(run=_run_milnor)
     p_milnor.add_argument("--poly", required=True, metavar="SRC")
     p_milnor.add_argument(
         "--modular",
@@ -117,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bound = sub.add_parser("bound", help="degree bound for A_k points")
+    p_bound.set_defaults(run=_run_bound)
     which = p_bound.add_mutually_exclusive_group(required=True)
     which.add_argument("--d", type=int, metavar="N")
     which.add_argument("--table", action="store_true")
     p_bound.add_argument("--max-d", type=int, metavar="N", default=None)
 
-    p_table = sub.add_parser(
-        "family-table", help="constructed k versus the bound"
-    )
+    p_table = sub.add_parser("family-table", help="constructed k versus the bound")
+    p_table.set_defaults(run=_run_family_table)
     p_table.add_argument("--max-s", type=int, required=True, metavar="N")
     p_table.add_argument("--csv", action="store_true")
 
@@ -154,21 +139,19 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _run_construct(args) -> int:
+def _run_construct(args, parser: argparse.ArgumentParser) -> int:
     cert = _entry("certify_member")(args.s, with_milnor=args.milnor)
     _emit(_dump(cert.to_json_dict()), args.out)
     return 0
 
 
-def _run_certify(args) -> int:
+def _run_certify(args, parser: argparse.ArgumentParser) -> int:
     result = _entry("split_and_classify")(_load_poly(args.poly), cap=args.max_k)
-    sys.stdout.write(
-        _dump({"kind": result.kind, "k": result.k, "cap": result.cap})
-    )
+    sys.stdout.write(_dump(result._asdict()))
     return 1 if result.kind == "Undetermined" else 0
 
 
-def _run_milnor(args) -> int:
+def _run_milnor(args, parser: argparse.ArgumentParser) -> int:
     f = _load_poly(args.poly)
     if args.modular:
         report = _entry("milnor_resultant")(f, arithmetic="modular")
@@ -178,16 +161,7 @@ def _run_milnor(args) -> int:
             report = _entry("milnor_fulton")(f)
         except BudgetExceeded:
             report = _entry("milnor_number")(f)
-    sys.stdout.write(
-        _dump(
-            {
-                "mu": report.mu,
-                "method": report.method,
-                "stabilized_at": report.stabilized_at,
-                "arithmetic": report.arithmetic,
-            }
-        )
-    )
+    sys.stdout.write(_dump(report._asdict()))
     return 0
 
 
@@ -208,7 +182,7 @@ def _run_bound(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _run_family_table(args) -> int:
+def _run_family_table(args, parser: argparse.ArgumentParser) -> int:
     rows = _entry("ratio_table")(args.max_s)
     if args.csv:
         sys.stdout.write(_entry("ratio_table_csv")(rows))
@@ -221,21 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.run(args, parser)
     except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        if args.verb == "construct":
-            return _run_construct(args)
-        if args.verb == "certify":
-            return _run_certify(args)
-        if args.verb == "milnor":
-            return _run_milnor(args)
-        if args.verb == "bound":
-            return _run_bound(args, parser)
-        return _run_family_table(args)
-    except SystemExit as exc:
-        # parser.error inside a verb handler
+        # --help, a usage error, or parser.error inside a verb handler
         return int(exc.code or 0)
     except CertificationFailed as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -267,7 +267,7 @@ class SparsePoly:
             raise InvalidInput("polynomial JSON must be an object with 'vars' and 'terms'")
         vars_ = data.get("vars")
         if not isinstance(vars_, list) or len(vars_) != 2:
-            raise ValueError("polynomial JSON must carry exactly two variables")
+            raise InvalidInput("polynomial JSON must carry exactly two variables")
         entries = data.get("terms", [])
         if not isinstance(entries, list):
             raise InvalidInput("polynomial JSON 'terms' must be a list")
@@ -276,8 +276,10 @@ class SparsePoly:
             e = entry.get("e") if isinstance(entry, dict) else None
             c = entry.get("c") if isinstance(entry, dict) else None
             # bool is an int subclass, so `type(...) is int` is the exact test.
-            if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
-                raise InvalidInput(f"term exponents must be two plain integers, got {e!r}")
+            if not (
+                isinstance(e, list) and len(e) == 2 and all(type(v) is int and v >= 0 for v in e)
+            ):
+                raise InvalidInput(f"term exponents must be two plain integers >= 0, got {e!r}")
             if type(c) not in (int, str):
                 raise InvalidInput(
                     f"term coefficient must be an integer or a rational string, got {c!r}"

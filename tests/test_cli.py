@@ -458,8 +458,9 @@ _ORACLES = {"milnor", "_modp", "_exactrank"}
         (["certify", "--poly", build_F(1).F.to_text()], {"cli", "errors", "poly", "classify", "_xseries"}),
         (["construct", "--s", "1"], _CERTIFIER),
         (["bound", "--d", "9"], {"cli", "errors", "bounds"}),
+        (["family-table", "--max-s", "1"], _CERTIFIER),
     ],
-    ids=["milnor", "certify", "construct", "bound"],
+    ids=["milnor", "certify", "construct", "bound", "family-table"],
 )
 def test_each_verb_loads_only_its_modules(argv, modules):
     proc = _python(_RUN_AS_MAIN, *argv)

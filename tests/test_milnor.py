@@ -454,7 +454,8 @@ def test_resultant_nonisolated_detection():
 
 def test_resultant_retries_shear_and_succeeds():
     # Critical points at (0, 0), (0, 1/2), (0, 1) spoil the identity shear;
-    # the first seeded shear moves the extra ones off the line x = 0.
+    # the next shear in the fixed _SHEARS table (t = 50) moves the extra ones
+    # off the line x = 0.  Only the primes are seeded, not the shears.
     f = parse_poly("x^2 + y^2*(y - 1)^2")
     r = milnor_resultant(f)
     assert r.mu == 1
