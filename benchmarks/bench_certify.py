@@ -27,9 +27,8 @@ import statistics
 import time
 from pathlib import Path
 
-from akforge.classify import newton_ak_certify
 from akforge.family import build_F, certify_member, verify_eq2
-from akforge.series import Weights, compose_curve, invert_change
+from akforge.series import Weights, compose_curve, invert_change, newton_ak_certify
 
 from _common import environment, parse_label, store
 

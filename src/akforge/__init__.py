@@ -31,13 +31,7 @@ _SOURCES = {
         "steenbrink_inertia",
         "upper_bound",
     ),
-    "akforge.classify": (
-        "AkCertificate",
-        "AkResult",
-        "hessian_corank",
-        "newton_ak_certify",
-        "split_and_classify",
-    ),
+    "akforge.classify": ("AkResult", "hessian_corank", "split_and_classify"),
     "akforge.errors": (
         "AkforgeError",
         "BudgetExceeded",
@@ -70,7 +64,14 @@ _SOURCES = {
         "milnor_resultant",
     ),
     "akforge.poly": ("Monomial", "SparsePoly", "parse_poly"),
-    "akforge.series": ("TruncatedSeries", "Weights", "compose_curve", "invert_change"),
+    "akforge.series": (
+        "AkCertificate",
+        "TruncatedSeries",
+        "Weights",
+        "compose_curve",
+        "invert_change",
+        "newton_ak_certify",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -13,17 +13,6 @@ from __future__ import annotations
 from math import gcd
 
 
-def _content_strip(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
-
-
 def rank_profile_sparse(rows: list[dict[int, int]], ncols: int) -> list[int]:
     """Pivot columns (ascending) of the row space spanned by integer rows."""
     buckets: dict[int, list[dict[int, int]]] = {}
@@ -61,7 +50,9 @@ def rank_profile_sparse(rows: list[dict[int, int]], ncols: int) -> list[int]:
                         new[col] = w
             new.pop(c, None)
             if new:
-                new = _content_strip(new)
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {col: v // g for col, v in new.items()}
                 buckets.setdefault(min(new), []).append(new)
     return pivots
 

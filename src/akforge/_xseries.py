@@ -28,10 +28,13 @@ reads b only mod x^(prec - ord(a)).
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
+
+from .errors import InvalidInput
 
 Terms = list[tuple[int, int]]
 
@@ -65,6 +68,10 @@ class XSeries:
 
     def __init__(self, num: list[int], den: int = 1, prec: int | None = None):
         """The series sum(num[i] * x^i) / den mod x^prec; prec defaults to len(num)."""
+        try:
+            num, den = [operator.index(v) for v in num], operator.index(den)
+        except TypeError:
+            raise InvalidInput("series numerators and denominator must be integers") from None
         if den == 0:
             raise ZeroDivisionError("series denominator must be nonzero")
         if prec is None:
@@ -72,7 +79,7 @@ class XSeries:
         if prec < 1:
             raise ValueError("precision must be positive")
         sign = -1 if den < 0 else 1
-        terms = [(i, sign * int(v)) for i, v in enumerate(num[:prec]) if v]
+        terms = [(i, sign * v) for i, v in enumerate(num[:prec]) if v]
         self._adopt(terms, sign * den, prec)
 
     def _adopt(self, terms: Terms, den: int, prec: int) -> None:

@@ -147,17 +147,12 @@ def ratio_table(s_max: int) -> list[RatioRow]:
     return rows
 
 
-def render_decimal(value: Fraction, places: int = 6) -> str:
-    """Exact decimal rendering of a rational, rounded to `places` digits."""
-    if places < 0:
-        raise InvalidInput("places must be non-negative")
-    scale = 10**places
-    scaled = round(value * scale)
+def render_decimal(value: Fraction) -> str:
+    """Exact decimal rendering of a rational, rounded to six places."""
+    scaled = round(value * 10**6)
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), scale)
-    if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(abs(scaled), 10**6)
+    return f"{sign}{whole}.{frac:06d}"
 
 
 def ratio_table_csv(rows: list[RatioRow]) -> str:

@@ -1,14 +1,9 @@
-"""Singularity-type certification for plane-curve germs.
+"""Splitting-lemma classification of plane-curve germs at the origin.
 
-Two independent certifiers live here.  The Newton-segment certifier
-inspects a prepared weighted series and accepts exactly when, apart from
-the two segment endpoints z^2 and x^(k+1), every retained term lies
-strictly above the segment joining (0,2) and (k+1,0); such a germ is
-semi-quasihomogeneous with principal part z^2 + c*x^(k+1), hence of type
-A_k.  The splitting-lemma classifier handles corank-at-most-one germs in
-their own coordinates.  With c = f_yy(0, 0)/2 != 0, the branch h(x) with
-f_y(x, h(x)) = 0, h(0) = 0 gives f = f(x, h) + (y - h)^2 * u, u(0, 0) = c,
-and k = ord_x f(x, h(x)) - 1.  No rotation is needed: for a corank-one
+The classifier handles corank-at-most-one germs in their own coordinates.
+With c = f_yy(0, 0)/2 != 0, the branch h(x) with f_y(x, h(x)) = 0,
+h(0) = 0 gives f = f(x, h) + (y - h)^2 * u, u(0, 0) = c, and
+k = ord_x f(x, h(x)) - 1.  No rotation is needed: for a corank-one
 quadratic part a*x^2 + b*x*y + c*y^2 the 2-jet of f(x, h(x)) is
 (4ac - b^2)/(4c) * x^2 = 0.  A precision rung reads f(x, h(x)) mod x^(2p)
 from h, the branch mod x^p, which is exact because f_y(x, h) = O(x^p); only
@@ -18,35 +13,11 @@ x^(2p), dividing by f_yy(x, h) mod x^p.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from ._xseries import XSeries, horner_layers, subst_horner
-from .errors import (
-    InvalidInput,
-    MismatchedContract,
-    NonIsolated,
-    NotACriticalGerm,
-    WindowTooSmall,
-    require_int,
-)
-from .poly import Monomial, SparsePoly
-
-if TYPE_CHECKING:
-    from .series import TruncatedSeries
-
-
-class AkCertificate(NamedTuple):
-    """Outcome of the Newton-segment check for a claimed k."""
-
-    k: int
-    coeff_z2: Fraction
-    coeff_xk1: Fraction
-    violations: tuple[tuple[Monomial, Fraction], ...] = ()
-
-    @property
-    def certified(self) -> bool:
-        return not self.violations and self.coeff_z2 != 0 and self.coeff_xk1 != 0
+from .errors import InvalidInput, NonIsolated, NotACriticalGerm, require_int
+from .poly import SparsePoly
 
 
 class _AkResult(NamedTuple):
@@ -70,43 +41,11 @@ class AkResult(_AkResult):
         return super().__new__(cls, kind, k, cap)
 
 
-def newton_ak_certify(series: TruncatedSeries, expected_k: int) -> AkCertificate:
-    """Check that a weighted series is the A_k normal form plus heavier terms.
-
-    The contract requires weights (2, expected_k + 1).  Terms weighing more
-    than 2*(expected_k + 1) lie strictly above the segment automatically;
-    the certificate therefore records as violations exactly the retained
-    terms, other than the endpoints, with weight at or below that line.
-    """
-    require_int(expected_k, "expected_k", 1)
-    k1 = expected_k + 1
-    if tuple(series.weights) != (2, k1):
-        raise MismatchedContract(
-            f"series weights {tuple(series.weights)} do not match (2, {k1})"
-        )
-    if series.cutoff < 2 * k1:
-        raise WindowTooSmall(
-            f"cutoff {series.cutoff} cannot witness weight {2 * k1}"
-        )
-    coeff_z2 = series.coefficient(0, 2)
-    coeff_xk1 = series.coefficient(k1, 0)
-    violations = tuple(
-        (m, c)
-        for m, c in series.terms()
-        if (m.ex, m.ey) not in ((0, 2), (k1, 0)) and 2 * m.ex + k1 * m.ey <= 2 * k1
-    )
-    return AkCertificate(expected_k, coeff_z2, coeff_xk1, violations)
-
-
-def _quadratic_entries(f: SparsePoly) -> tuple[Fraction, Fraction, Fraction]:
-    return f.coefficient(2, 0), f.coefficient(1, 1), f.coefficient(0, 2)
-
-
 def hessian_corank(f: SparsePoly) -> int:
     """Corank of the quadratic part: 2 minus the rank of the Hessian at 0."""
     if f.coefficient(0, 0) != 0 or f.coefficient(1, 0) != 0 or f.coefficient(0, 1) != 0:
         raise NotACriticalGerm("constant or linear part is nonzero")
-    a, b, c = _quadratic_entries(f)
+    a, b, c = f.coefficient(2, 0), f.coefficient(1, 1), f.coefficient(0, 2)
     if a == b == c == 0:
         return 2
     if 4 * a * c - b * b == 0:

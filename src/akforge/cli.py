@@ -13,12 +13,12 @@ or classification did not succeed; 2 usage or input errors.
 
 Each verb imports only the modules it runs, besides this one and `errors`:
 
-    construct     family, series, classify, _xseries, poly, bounds
+    construct     family, series, _xseries, poly, bounds
                   (--milnor adds milnor, _modp, _exactrank)
     certify       poly, classify, _xseries
     milnor        poly, milnor, _modp, _exactrank
     bound         bounds
-    family-table  bounds, family and what family imports
+    family-table  family, series, _xseries, poly, bounds
 
 A verb reads each entry point it calls (`parse_poly`, `certify_member`, ...)
 as an attribute of this module.  A value set here, such as a test's spy, is

@@ -26,7 +26,7 @@ class NegativeExponent(PolySyntaxError):
 class MismatchedContract(AkforgeError):
     """A series window's weights or cutoff do not fit the certificate asked for.
 
-    Raised only by classify.newton_ak_certify.
+    Raised only by series.newton_ak_certify.
     """
 
 

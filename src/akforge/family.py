@@ -22,10 +22,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from akforge.bounds import upper_bound
-from akforge.classify import AkCertificate, newton_ak_certify
 from akforge.errors import CertificationFailed, IdentityViolation, InvalidInput, require_int
-from akforge.poly import SparsePoly, format_rational
-from akforge.series import Weights, compose_curve, invert_change
+from akforge.poly import SparsePoly
+from akforge.series import AkCertificate, Weights, compose_curve, invert_change, newton_ak_certify
 
 if TYPE_CHECKING:
     from akforge.milnor import MilnorReport
@@ -98,14 +97,14 @@ class FamilyCertificate(NamedTuple):
             },
             "newton_certificate": {
                 "k": self.newton.k,
-                "coeff_z2": format_rational(self.newton.coeff_z2),
-                "coeff_x_k_plus_1": format_rational(self.newton.coeff_xk1),
+                "coeff_z2": str(self.newton.coeff_z2),
+                "coeff_x_k_plus_1": str(self.newton.coeff_xk1),
                 "violations": [
-                    {"e": [m.ex, m.ey], "c": format_rational(c)}
+                    {"e": [m.ex, m.ey], "c": str(c)}
                     for m, c in self.newton.violations
                 ],
             },
-            "window_terms": self.window.to_json_dict(var_names=("x", "z"))["terms"],
+            "window_terms": self.window.to_json_dict()["terms"],
             "milnor": milnor,
             "bound": {
                 "d": p.d,

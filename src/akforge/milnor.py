@@ -87,8 +87,9 @@ class MilnorReport(NamedTuple):
 
 def _integer_terms(p: SparsePoly) -> dict[tuple[int, int], int]:
     """{(i, j): c} for the terms c*x^i*y^j of p times the lcm of its denominators."""
-    den = lcm(*(c.denominator for _, c in p.terms()))
-    return {(m.ex, m.ey): c.numerator * (den // c.denominator) for m, c in p.terms()}
+    terms = list(p.terms())
+    den = lcm(*(c.denominator for _, c in terms))
+    return {(m.ex, m.ey): c.numerator * (den // c.denominator) for m, c in terms}
 
 
 def _partials(F: dict[tuple[int, int], int]) -> tuple[dict, dict]:

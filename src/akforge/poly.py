@@ -1,8 +1,8 @@
 """Exact sparse bivariate polynomials over the rationals.
 
 A polynomial is a map from exponent pairs to nonzero ``Fraction``
-coefficients.  The two variables are positional; they print as ``x`` and
-``y`` by default but are reinterpreted as ``(x, z)`` by the series layer.
+coefficients.  The two variables are positional; they always print as
+``x`` and ``y``, though the series layer reads them as ``(x, z)``.
 
 Canonical term order is graded lexicographic with x > y, listed leading
 term first.  Serialization (text and JSON) always uses this order, so equal
@@ -60,7 +60,7 @@ class SparsePoly:
             except TypeError:
                 raise InvalidInput(f"exponents {(ex, ey)!r} must be integers") from None
             if ex < 0 or ey < 0:
-                raise ValueError("monomial exponents must be non-negative")
+                raise InvalidInput(f"exponents {(ex, ey)!r} must be non-negative")
             c = Fraction(c)
             if c:
                 m = Monomial(ex, ey)
@@ -231,7 +231,7 @@ class SparsePoly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_text(self, var_names: tuple[str, str] = ("x", "y")) -> str:
+    def to_text(self) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
@@ -239,8 +239,8 @@ class SparsePoly:
             factors = []
             mag = abs(c)
             if mag != 1 or m.degree == 0:
-                factors.append(format_rational(mag))
-            for name, e in zip(var_names, m):
+                factors.append(str(mag))
+            for name, e in zip("xy", m):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -252,9 +252,9 @@ class SparsePoly:
                 parts.append(f" + {body}" if c > 0 else f" - {body}")
         return "".join(parts)
 
-    def to_json_dict(self, var_names: tuple[str, str] = ("x", "y")) -> dict:
+    def to_json_dict(self) -> dict:
         return {
-            "vars": list(var_names),
+            "vars": ["x", "y"],
             "terms": [
                 {"e": [m.ex, m.ey], "c": f"{c.numerator}/{c.denominator}"}
                 for m, c in self.terms()
@@ -322,13 +322,6 @@ def _power_table(base: SparsePoly, exponents: set[int]) -> dict[int, SparsePoly]
         prev = prev * base
         table[e] = prev
     return table
-
-
-def format_rational(q: Fraction) -> str:
-    """Render a rational without a denominator when it is integral."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 _ZERO = Fraction(0)

@@ -7,6 +7,12 @@ everything heavier is unknown and has been discarded.  It is produced by
 invert_change and compose_curve, and newton_ak_certify reads its
 coefficients; it has no arithmetic of its own.
 
+newton_ak_certify is the Newton-segment check: it accepts a window with
+weights (2, k+1) exactly when, apart from the two segment endpoints z^2
+and x^(k+1), every retained term lies strictly above the segment joining
+(0,2) and (k+1,0).  Such a germ is semi-quasihomogeneous with principal
+part z^2 + c*x^(k+1), hence of type A_k.
+
 Behind those two functions a series is a sum of z-layers c_j(x) * z^j, each
 c_j an XSeries (integer numerators over one denominator) mod
 x^((cutoff - wz*j)//wx + 1): exactly the terms of weight within the cutoff.
@@ -27,7 +33,13 @@ from typing import NamedTuple
 from ._xseries import XSeries, horner_layers, subst_horner
 # Unused here; kept because perfbench/spans.py patches series.conv_trunc by name.
 from ._xseries import conv_trunc  # noqa: F401
-from .errors import InvalidInput, PreconditionViolated, require_int
+from .errors import (
+    InvalidInput,
+    MismatchedContract,
+    PreconditionViolated,
+    WindowTooSmall,
+    require_int,
+)
 from .poly import Monomial, SparsePoly
 
 
@@ -84,6 +96,50 @@ class TruncatedSeries(_TruncatedSeries):
 
     def terms(self):
         return self.body.terms()
+
+
+# -- the Newton-segment check ----------------------------------------------
+
+
+class AkCertificate(NamedTuple):
+    """Outcome of the Newton-segment check for a claimed k."""
+
+    k: int
+    coeff_z2: Fraction
+    coeff_xk1: Fraction
+    violations: tuple[tuple[Monomial, Fraction], ...] = ()
+
+    @property
+    def certified(self) -> bool:
+        return not self.violations and self.coeff_z2 != 0 and self.coeff_xk1 != 0
+
+
+def newton_ak_certify(series: TruncatedSeries, expected_k: int) -> AkCertificate:
+    """Check that a weighted series is the A_k normal form plus heavier terms.
+
+    The contract requires weights (2, expected_k + 1).  Terms weighing more
+    than 2*(expected_k + 1) lie strictly above the segment automatically;
+    the certificate therefore records as violations exactly the retained
+    terms, other than the endpoints, with weight at or below that line.
+    """
+    require_int(expected_k, "expected_k", 1)
+    k1 = expected_k + 1
+    if tuple(series.weights) != (2, k1):
+        raise MismatchedContract(
+            f"series weights {tuple(series.weights)} do not match (2, {k1})"
+        )
+    if series.cutoff < 2 * k1:
+        raise WindowTooSmall(
+            f"cutoff {series.cutoff} cannot witness weight {2 * k1}"
+        )
+    coeff_z2 = series.coefficient(0, 2)
+    coeff_xk1 = series.coefficient(k1, 0)
+    violations = tuple(
+        (m, c)
+        for m, c in series.terms()
+        if (m.ex, m.ey) not in ((0, 2), (k1, 0)) and 2 * m.ex + k1 * m.ey <= 2 * k1
+    )
+    return AkCertificate(expected_k, coeff_z2, coeff_xk1, violations)
 
 
 # -- the window as z-layers ------------------------------------------------

@@ -121,11 +121,9 @@ def test_ratio_table_monotone_toward_limit():
 def test_render_decimal():
     assert render_decimal(Fraction(14, 27)) == "0.518519"
     assert render_decimal(Fraction(1, 2)) == "0.500000"
-    assert render_decimal(Fraction(-5, 4), places=2) == "-1.25"
-    assert render_decimal(Fraction(7, 1), places=0) == "7"
-    assert render_decimal(Fraction(1, 3), places=3) == "0.333"
-    with pytest.raises(InvalidInput):
-        render_decimal(Fraction(1, 2), places=-1)
+    assert render_decimal(Fraction(-5, 4)) == "-1.250000"
+    assert render_decimal(Fraction(1, 3)) == "0.333333"
+    assert render_decimal(Fraction(7, 1)) == "7.000000"
 
 
 def test_csv_shape():

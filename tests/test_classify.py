@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from akforge._xseries import XSeries
 from akforge.classify import (
-    AkCertificate,
     AkResult,
     _eval_on_branch,
     _dy,
@@ -19,7 +18,6 @@ from akforge.classify import (
     _y_layers,
     _y_square_chart,
     hessian_corank,
-    newton_ak_certify,
     split_and_classify,
 )
 from akforge.errors import (
@@ -32,7 +30,7 @@ from akforge.errors import (
 )
 from akforge.milnor import milnor_fulton, milnor_number
 from akforge.poly import SparsePoly, parse_poly
-from akforge.series import TruncatedSeries, Weights
+from akforge.series import AkCertificate, TruncatedSeries, Weights, newton_ak_certify
 
 
 def series_for(text: str, k: int, cutoff: int | None = None) -> TruncatedSeries:

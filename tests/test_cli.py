@@ -447,7 +447,7 @@ _RUN_AS_MAIN = (
     "    assert exc.code == 0, exc.code\n"
     "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('akforge.'))))"
 )
-_CERTIFIER = {"cli", "errors", "poly", "classify", "_xseries", "family", "series", "bounds"}
+_CERTIFIER = {"cli", "errors", "poly", "_xseries", "family", "series", "bounds"}
 _ORACLES = {"milnor", "_modp", "_exactrank"}
 
 

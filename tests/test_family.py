@@ -9,7 +9,7 @@ import json
 import pytest
 
 from akforge.bounds import ratio_table, steenbrink_inertia
-from akforge.classify import AkCertificate, split_and_classify
+from akforge.classify import split_and_classify
 from akforge.errors import CertificationFailed, IdentityViolation, InvalidInput
 from akforge.family import (
     CurveInstance,
@@ -23,7 +23,7 @@ from akforge.family import (
 )
 from akforge.milnor import MilnorReport, milnor_fulton
 from akforge.poly import SparsePoly, parse_poly
-from akforge.series import Weights, invert_change
+from akforge.series import AkCertificate, Weights, invert_change
 
 
 def test_family_params_values():

@@ -18,7 +18,6 @@ from akforge.poly import (
     NESTING_LIMIT,
     Monomial,
     SparsePoly,
-    format_rational,
     parse_poly,
 )
 
@@ -40,7 +39,7 @@ def test_constructor_merges_and_drops_zeros():
 
 
 def test_constructor_rejects_negative_exponents():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         SparsePoly([((-1, 0), 1)])
 
 
@@ -420,7 +419,7 @@ def test_parse_sums_of_monomial_products_randomized():
             c = Fraction(rng.randrange(0, 9), rng.choice((1, 1, 2, 3)))
             a, b = rng.randrange(4), rng.randrange(4)
             sign = rng.choice("+-")
-            factors = [format_rational(c), f"x^{a}", f"y^{b}"]
+            factors = [str(c), f"x^{a}", f"y^{b}"]
             rng.shuffle(factors)
             text += f" {sign} " + "*".join(factors)
             term = (xv**a * yv**b).scale(c)
@@ -479,9 +478,3 @@ def test_json_rejects_bad_vars():
         SparsePoly.from_json_dict({"vars": ["x"], "terms": []})
     with pytest.raises(InvalidInput):
         SparsePoly.from_json_dict({"terms": []})
-
-
-def test_format_rational():
-    assert format_rational(Fraction(56)) == "56"
-    assert format_rational(Fraction(-3, 4)) == "-3/4"
-    assert format_rational(Fraction(0)) == "0"

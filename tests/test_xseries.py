@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from akforge._xseries import XSeries
+from akforge.errors import InvalidInput
 
 
 def rand_series(rng: random.Random, prec: int, rational=True) -> XSeries:
@@ -32,6 +33,25 @@ def test_construction_and_normalization():
         XSeries([1], den=0)
     with pytest.raises(ValueError):
         XSeries([], prec=0)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ([1, Fraction(1, 2)], 1),
+        ([1, Fraction(2, 1)], 1),
+        ([1, 0.5], 1),
+        ([1.0, 2], 1),
+        (["1"], 1),
+        ([1, 2], 2.5),
+        ([1, 2], Fraction(2)),
+    ],
+)
+def test_construction_rejects_non_integers(num, den):
+    # int() would truncate 1/2 to a stored zero numerator, and gcd would
+    # reject a float denominator with a bare TypeError
+    with pytest.raises(InvalidInput):
+        XSeries(num, den)
 
 
 def test_order_and_zero():
