@@ -30,7 +30,10 @@ whichever order a rung runs them in.  The names are wrapped in
 at once instead of timing nothing.  The verdicts are kept (for the germs,
 their count and sha256), so two records can be checked for identical
 results.  Each case runs up to three times, stopping once 10 s have been
-spent on it; the median run is reported.  The record is stored under
+spent on it; the median run is reported.  One more, untimed run counts
+the calls of ``akforge._xseries.conv_trunc``, one per XSeries product or
+fused product-and-sum, as ``conv_trunc_calls``: the work the branch
+evaluations do, apart from the timer.  The record is stored under
 ``runs[<label>]`` of ``benchmarks/BENCH_classify.json``; records under
 other labels are kept.
 """
@@ -42,6 +45,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import akforge._xseries as xseries
 import akforge.classify as classify
 from akforge.errors import AkforgeError
 from akforge.family import build_F
@@ -53,6 +57,8 @@ from _common import (
 
 LAYERS = Wrap(classify, ("_y_square_chart", "_lift", "_eval_on_branch"))
 LAYER_KEYS = dict(zip(LAYERS.names, ("coordinates", "lift", "branch_eval")))
+# XSeries looks conv_trunc up in its module at call time, so this sees every product
+PRODUCTS = Wrap(xseries, ("conv_trunc",))
 MEMBERS = (1, 2, 3, 4, 8, 20, 200)
 # (unit factor as text, its ladder of s)
 UNIT_LADDERS = (
@@ -66,16 +72,22 @@ GERM_SEED = 101
 OUT = Path(__file__).resolve().parent / "BENCH_classify.json"
 
 
+def classify_all(germs: list) -> list[str]:
+    """The verdict of every germ: its AkResult, or the name of the error raised."""
+    verdicts = []
+    for f in germs:
+        try:
+            verdicts.append(repr(classify.split_and_classify(f)))
+        except AkforgeError as exc:
+            verdicts.append(type(exc).__name__)
+    return verdicts
+
+
 def timed_run(germs: list) -> dict:
     """Classify every germ once with the layers wrapped; times and verdicts."""
-    verdicts = []
     with wrapped(LAYERS) as layer_calls:
         t0 = time.perf_counter()
-        for f in germs:
-            try:
-                verdicts.append(repr(classify.split_and_classify(f)))
-            except AkforgeError as exc:
-                verdicts.append(type(exc).__name__)
+        verdicts = classify_all(germs)
         total = time.perf_counter() - t0
     spent = layer_calls.seconds
     calls = Counter({LAYER_KEYS[n]: c for n, c in layer_calls.counts.items()})
@@ -90,6 +102,16 @@ def timed_run(germs: list) -> dict:
         "other_s": round(total - sum(spent.values()), 4),
         "calls": dict(sorted((+calls).items())),
     }
+
+
+def measure(germs: list) -> dict:
+    """The median timed run, and the conv_trunc calls of one untimed run."""
+    row = median_run(lambda: timed_run(germs))
+    if "stopped" not in row:
+        with wrapped(PRODUCTS) as products:
+            classify_all(germs)
+        row["conv_trunc_calls"] = products.counts["conv_trunc"]
+    return row
 
 
 def cases() -> list[tuple[str, str | None, list]]:
@@ -116,7 +138,7 @@ def cases() -> list[tuple[str, str | None, list]]:
 def main() -> None:
     label = parse_label(__doc__)
     classify.split_and_classify(build_F(0).F)  # warm-up
-    rows = run_ladders(cases(), lambda germs: median_run(lambda: timed_run(germs)))
+    rows = run_ladders(cases(), measure)
     record = {
         "environment": environment(),
         "medians_over": "up to 3 runs per case, stopping after 10 s",

@@ -24,6 +24,15 @@ with the addend, then one content normalization.  Division a / b is sparse
 long division over the integers: each quotient term costs one pass over
 b's terms, so a division costs about (quotient terms) x (divisor terms) and
 reads b only mod x^(prec - ord(a)).
+
+Operands of a product may differ in precision.  If a is known mod x^pa and
+b mod x^pb, then a*b is known mod x^min(pa + ord b, pb + ord a), where a
+series that vanishes to its precision has order equal to that precision.
+A product is never kept beyond the larger of pa and pb, so with pa <= pb
+it is known mod x^min(pa + ord b, pb), and at equal precisions it keeps
+that precision without reading either order.  ``+`` and ``-`` require
+equal precisions.  The classifier uses this to run its Horner
+scheme at the precision each y-layer needs (``classify._eval_on_branch``).
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_int
 
 Terms = list[tuple[int, int]]
 
@@ -76,8 +85,7 @@ class XSeries:
             raise ZeroDivisionError("series denominator must be nonzero")
         if prec is None:
             prec = len(num)
-        if prec < 1:
-            raise ValueError("precision must be positive")
+        require_int(prec, "series precision", 1)
         sign = -1 if den < 0 else 1
         terms = [(i, sign * v) for i, v in enumerate(num[:prec]) if v]
         self._adopt(terms, sign * den, prec)
@@ -141,8 +149,10 @@ class XSeries:
 
     def resize(self, prec: int) -> "XSeries":
         """Change precision; enlarging pads with (unknown-as-zero) terms."""
-        if prec < 1:
-            raise ValueError("precision must be positive")
+        # the exact-type test spares the certifier's and the classifier's
+        # many resizes a call; anything else goes through the full check
+        if type(prec) is not int or prec < 1:
+            require_int(prec, "series precision", 1)
         if prec == self.prec:
             return self
         return XSeries._wrap(self.terms[: bisect_left(self.terms, (prec,))], self.den, prec)
@@ -156,12 +166,9 @@ class XSeries:
         head = ", ".join(str(self.coefficient(i)) for i in range(min(self.prec, 6)))
         return f"XSeries([{head}{', ...' if self.prec > 6 else ''}] mod x^{self.prec})"
 
-    def _require_same_prec(self, other: "XSeries") -> None:
+    def __add__(self, other: "XSeries") -> "XSeries":
         if self.prec != other.prec:
             raise ValueError("series precisions differ")
-
-    def __add__(self, other: "XSeries") -> "XSeries":
-        self._require_same_prec(other)
         d = lcm(self.den, other.den)
         fa, fb = d // self.den, d // other.den
         out = {i: fa * u for i, u in self.terms}
@@ -176,25 +183,35 @@ class XSeries:
     def __neg__(self) -> "XSeries":
         return XSeries._wrap([(i, -v) for i, v in self.terms], self.den, self.prec)
 
+    def _product_prec(self, other: "XSeries") -> int:
+        """The precision of self * other: min(pa + ord b, pb), a the less precise factor.
+
+        Equal precisions give that precision, and no order is read.
+        """
+        pa, pb = self.prec, other.prec
+        if pa == pb:
+            return pa
+        if pa > pb:
+            pa, pb, other = pb, pa, self
+        return min(pa + other.terms[0][0], pb) if other.terms else pb
+
     def __mul__(self, other: "XSeries") -> "XSeries":
-        self._require_same_prec(other)
+        """self * other mod x^min(pa + ord b, pb + ord a), kept at most at max(pa, pb)."""
+        n = self._product_prec(other)
         # conv_trunc is looked up in the module namespace at call time, so a
         # profiler that rebinds the module global sees every product.
-        return XSeries._wrap(
-            conv_trunc(self.terms, other.terms, self.prec),
-            self.den * other.den,
-            self.prec,
-        )
+        return XSeries._wrap(conv_trunc(self.terms, other.terms, n), self.den * other.den, n)
 
     def mul_add(self, other: "XSeries", addend: "XSeries") -> "XSeries":
-        """self * other + addend mod x^prec, as one product pass.
+        """self * other + addend, at the precision n of self * other, as one product pass.
 
-        The addend may have any precision: it enters as addend.resize(prec).
-        Over the common denominator, the shorter factor is scaled and the
-        addend's scaled pairs seed the product, so one content normalization
-        follows instead of one per operation.
+        The factors follow the product rule of ``__mul__``.  The addend may
+        have any precision: it enters as addend.resize(n), so it neither
+        lowers nor raises n.  Over the common denominator, the shorter factor
+        is scaled and the addend's scaled pairs seed the product, so one
+        content normalization follows instead of one per operation.
         """
-        self._require_same_prec(other)
+        n = self._product_prec(other)
         den = self.den * other.den
         common = lcm(den, addend.den)
         a, b = self.terms, other.terms
@@ -205,8 +222,8 @@ class XSeries:
             else:
                 b = [(j, scale * v) for j, v in b]
         up = common // addend.den
-        seed = [(i, up * v) for i, v in addend.terms[: bisect_left(addend.terms, (self.prec,))]]
-        return XSeries._wrap(conv_trunc(a, b, self.prec, seed), common, self.prec)
+        seed = [(i, up * v) for i, v in addend.terms[: bisect_left(addend.terms, (n,))]]
+        return XSeries._wrap(conv_trunc(a, b, n, seed), common, n)
 
     def __truediv__(self, other: "XSeries") -> "XSeries":
         """self / other mod x^prec by sparse long division; other(0) must be nonzero.

@@ -9,6 +9,12 @@ quadratic part a*x^2 + b*x*y + c*y^2 the 2-jet of f(x, h(x)) is
 from h, the branch mod x^p, which is exact because f_y(x, h) = O(x^p); only
 if that reading vanishes does one Newton step take h to the root mod
 x^(2p), dividing by f_yy(x, h) mod x^p.
+
+Every evaluation on the branch (f, f_y and f_yy) runs the shared Horner
+scheme graded by the branch's order: with v = ord h >= 1, the y^e layer
+enters only mod x^(prec - e*v), and layers with e*v >= prec are dropped.
+Only terms that cannot reach below x^prec are left out, so the result is
+the ungraded scheme's, bit for bit.
 """
 
 from __future__ import annotations
@@ -78,9 +84,21 @@ def _dy(layers: Layers) -> Layers:
 
 
 def _eval_on_branch(layers: Layers, h: XSeries) -> XSeries:
-    """f(x, h(x)) mod x^prec(h), by the shared Horner scheme over the y-exponents of f."""
-    (top_e, top), *rest = layers
-    return subst_horner([(top_e, top.resize(h.prec)), *rest], h)
+    """f(x, h(x)) mod x^prec(h), by the shared Horner scheme over the y-exponents of f.
+
+    With v = ord h (v = prec if h vanishes mod x^prec), c_e * h^e is
+    O(x^(e*v)), so the layer c_e is needed only mod x^(prec - e*v) and not
+    at all once e*v >= prec.  Each layer is resized to that precision, the
+    exact y^0 layer included: a layer left at its own precision would cap
+    the Horner products below what they need.  By the product rule of
+    XSeries, the accumulator at y-exponent e then stays at prec - e*v,
+    exactly the precision its later products need, and the sum comes out
+    at prec.  Every coefficient below x^prec is the ungraded scheme's.
+    """
+    prec = h.prec
+    v = prec if h.is_zero() else h.order()
+    graded = [(e, c.resize(prec - e * v)) for e, c in layers if e * v < prec]
+    return subst_horner(graded, h) if graded else XSeries.zero(prec)
 
 
 def _lift(fy: Layers, fyy: Layers, h: XSeries) -> XSeries:

@@ -41,7 +41,7 @@ def _var_index(var: str) -> int:
         return 0
     if var == "y":
         return 1
-    raise ValueError(f"unknown variable {var!r}; expected 'x' or 'y'")
+    raise InvalidInput(f"unknown variable {var!r}; expected 'x' or 'y'")
 
 
 class SparsePoly:

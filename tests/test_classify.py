@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from akforge._xseries import XSeries
+from akforge._xseries import XSeries, subst_horner
 from akforge.classify import (
     AkResult,
     _eval_on_branch,
@@ -253,6 +253,46 @@ def test_eval_on_branch_matches_exact_substitution(case):
     branch = SparsePoly({(i, 0): c for i, c in enumerate(h.coefficients())})
     exact = {m.ex: c for m, c in f.subst("y", branch).terms() if m.ex < h.prec}
     assert _eval_on_branch(_y_layers(f), h) == XSeries.from_terms(exact, h.prec)
+
+
+def ungraded_eval(layers, h: XSeries) -> XSeries:
+    """f(x, h) mod x^prec(h) by subst_horner with every product at prec(h)."""
+    (top_e, top), *rest = layers
+    return subst_horner([(top_e, top.resize(h.prec)), *rest], h)
+
+
+@st.composite
+def germs_and_branches_of_order(draw):
+    """f with y-exponent gaps up to 12, its lowest y-exponent 0 to 3, and h of
+    order 0 to 12 (or zero) at a precision up to 60."""
+    f, _ = draw(germs_and_branches())
+    prec = draw(st.integers(1, 60))
+    order = draw(st.integers(0, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    h = {order: Fraction(rng.choice([-3, -1, 1, 2]), rng.randrange(1, 4))}
+    for _ in range(draw(st.integers(0, 4))):
+        h[rng.randrange(order, prec + order)] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    return f, XSeries.from_terms(h if draw(st.booleans()) else {}, prec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(germs_and_branches_of_order())
+@example((parse_poly("y^25 + x*y^13 + y^12 + x^3"), XSeries([0, 0, 1, 1], prec=30)))
+@example((parse_poly("x^2*y + y^3 + 5*y^7"), XSeries.zero(9)))
+@example((parse_poly("y^2 + x^3"), XSeries.zero(4)))
+@example((parse_poly("(y - x^2)^2 + y^5"), XSeries([0, 0, 1], prec=8)))
+@example((parse_poly("x*y^2 + y^3"), XSeries([0, 0, 0, 1], prec=6)))
+def test_graded_eval_on_branch_equals_the_ungraded_horner(case):
+    # the graded scheme drops y^e layers with e * ord h >= prec and reads the
+    # rest mod x^(prec - e * ord h); the result must not change by one bit
+    f, h = case
+    layers = _y_layers(f)
+    want = ungraded_eval(layers, h)
+    assert want.prec == h.prec
+    assert _eval_on_branch(layers, h) == want
+    for derived in (_dy(layers), _dy(_dy(layers))):
+        if derived:
+            assert _eval_on_branch(derived, h) == ungraded_eval(derived, h)
 
 
 def test_classify_undetermined_square():

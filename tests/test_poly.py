@@ -197,6 +197,20 @@ def test_degree_helpers():
     assert parse_poly("1").order() == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: SparsePoly.variable("z"),
+        lambda p: p.degree_in("X"),
+        lambda p: p.diff("t"),
+        lambda p: p.subst("", SparsePoly.one()),
+    ],
+)
+def test_unknown_variable_names_are_invalid_input(call):
+    with pytest.raises(InvalidInput, match="expected 'x' or 'y'"):
+        call(parse_poly("x^2*y + 1"))
+
+
 def test_coefficient_accessor_and_coeffs_in_y():
     p = parse_poly("3*x^2*y - y + 1/2")
     assert p.coefficient(2, 1) == 3

@@ -31,7 +31,7 @@ def test_construction_and_normalization():
     assert XSeries([5], prec=4).coefficients() == [5, 0, 0, 0]
     with pytest.raises(ZeroDivisionError):
         XSeries([1], den=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         XSeries([], prec=0)
 
 
@@ -52,6 +52,14 @@ def test_construction_rejects_non_integers(num, den):
     # reject a float denominator with a bare TypeError
     with pytest.raises(InvalidInput):
         XSeries(num, den)
+
+
+@pytest.mark.parametrize("prec", [0, -3, 2.5, 2.0, Fraction(2), "2", True])
+def test_precision_must_be_an_integer_at_least_one(prec):
+    with pytest.raises(InvalidInput, match="series precision"):
+        XSeries([1], prec=prec)
+    with pytest.raises(InvalidInput, match="series precision"):
+        XSeries([1, 2], prec=2).resize(prec)
 
 
 def test_order_and_zero():
@@ -251,6 +259,68 @@ def test_mul_add_is_product_plus_resized_addend(case):
     got = a.mul_add(b, c)
     assert_canonical(got)
     assert got == a * b + c.resize(prec)
+
+
+@st.composite
+def mixed_precision_factors(draw):
+    """Two factors at their own precisions up to 120, each zero below a drawn
+    order (or zero throughout), and an addend at any precision up to 260."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    factors = []
+    for _ in range(2):
+        prec = draw(st.integers(1, 120))
+        coeffs = draw_coeffs(rng, prec, draw(shapes))
+        order = draw(st.integers(0, prec))  # prec: the factor is zero
+        factors.append([Fraction(0)] * order + coeffs[order:])
+    addend = draw_coeffs(rng, draw(st.integers(1, 260)), draw(shapes))
+    return factors, addend, draw(st.integers(0, 2**32))
+
+
+def known_precision(fa: list[Fraction], fb: list[Fraction]) -> int:
+    """min(pa + ord b, pb + ord a), kept at most at max(pa, pb).
+
+    A factor that is zero throughout has order equal to its precision.
+    """
+    pa, pb = len(fa), len(fb)
+    ord_a = next((i for i, c in enumerate(fa) if c), pa)
+    ord_b = next((i for i, c in enumerate(fb) if c), pb)
+    return min(pa + ord_b, pb + ord_a, max(pa, pb))
+
+
+def truncated_product(fa: list[Fraction], fb: list[Fraction], n: int) -> list[Fraction]:
+    return [
+        sum(fa[i] * fb[k - i] for i in range(max(0, k - len(fb) + 1), min(k + 1, len(fa))))
+        for k in range(n)
+    ]
+
+
+@PROPERTY
+@given(mixed_precision_factors())
+@example(([[Fraction(1)] * 3, [Fraction(0)] * 2 + [Fraction(1)] * 8], [Fraction(1)] * 2, 0))
+@example(([[Fraction(0)] * 4, [Fraction(0), Fraction(2)] * 3], [Fraction(5)] * 9, 1))
+@example(([[Fraction(0)] * 5] * 2, [Fraction(1)], 2))
+@example(([[Fraction(0), Fraction(1, 3)] * 4] * 2, [Fraction(1, 7)] * 20, 3))
+def test_product_of_mixed_precisions_is_known_to_the_rule(case):
+    # a is known mod x^pa and b mod x^pb: whatever lies beyond, a * b is
+    # fixed mod x^min(pa + ord b, pb + ord a), and never kept past max(pa, pb)
+    (fa, fb), fc, seed = case
+    a, b = XSeries.from_fractions(fa, len(fa)), XSeries.from_fractions(fb, len(fb))
+    n = known_precision(fa, fb)
+    got = a * b
+    assert_canonical(got)
+    assert got.prec == n
+    assert got.coefficients() == truncated_product(fa, fb, n)
+    assert b * a == got
+    rng = random.Random(seed)
+    tail = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(len(fa) + len(fb))]
+    unknown_a, unknown_b = fa + tail[: len(fb)], fb + tail[len(fb):]
+    assert got.coefficients() == truncated_product(unknown_a, unknown_b, n)
+    # the addend, of lower or higher precision, is read at n
+    c = XSeries.from_fractions(fc, len(fc))
+    fused = a.mul_add(b, c)
+    assert_canonical(fused)
+    assert fused == got + c.resize(n)
+    assert b.mul_add(a, c) == fused
 
 
 @PROPERTY
