@@ -280,12 +280,13 @@ class SparsePoly:
                 isinstance(e, list) and len(e) == 2 and all(type(v) is int and v >= 0 for v in e)
             ):
                 raise InvalidInput(f"term exponents must be two plain integers >= 0, got {e!r}")
-            if type(c) not in (int, str):
+            # a string follows the text grammar: no exponent, point or sign but '-'
+            if not (type(c) is int or type(c) is str and _JSON_RATIONAL.fullmatch(c)):
                 raise InvalidInput(
                     f"term coefficient must be an integer or a rational string, got {c!r}"
                 )
             try:
-                terms.append(((e[0], e[1]), Fraction(c)))
+                terms.append(((e[0], e[1]), _bounded(Fraction(c))))
             except (ValueError, ZeroDivisionError):
                 raise InvalidInput(f"term coefficient {c!r} is not a rational") from None
         return cls(terms)
@@ -384,6 +385,8 @@ _TOKEN = re.compile(
 )
 # The factors of one product: number, denominator, variable, power.
 _PARTS = re.compile(r"(?:(\d+)(?:/(\d+))?|([xy]))(?:\s*\^\s*(\d+))?")
+# A JSON coefficient string: an integer or a quotient of integers, with an optional '-'.
+_JSON_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
 
 
 def _literal_power(c: Scalar, e: int) -> Scalar:

@@ -1,21 +1,16 @@
 """Weighted-truncated power series in two variables, read as (x, z).
 
-A TruncatedSeries is the window the certifier reads: a polynomial body,
-positive integer weights for the two variables and a cutoff.  Only terms
-whose weighted degree wx*i + wz*j stays at or below the cutoff are kept;
-everything heavier is unknown and has been discarded.  It is produced by
-invert_change and compose_curve, and newton_ak_certify reads its
-coefficients; it has no arithmetic of its own.
+A TruncatedSeries is the certifier's window: positive integer weights for
+the two variables, a cutoff, and the series as its nonzero z-layers
+c_j(x) * z^j.  Only terms whose weighted degree wx*i + wz*j stays at or
+below the cutoff are kept; everything heavier is unknown and has been
+discarded, so each c_j is an XSeries (integer numerators over one
+denominator) mod x^((cutoff - wz*j)//wx + 1).  The window keeps that one
+form from inversion to check: invert_change returns its converged iterate,
+compose_curve substitutes it as it is, and newton_ak_certify reads the
+result.  The polynomial ``body`` is formed only when it is read, as for the
+certificate JSON.
 
-newton_ak_certify is the Newton-segment check: it accepts a window with
-weights (2, k+1) exactly when, apart from the two segment endpoints z^2
-and x^(k+1), every retained term lies strictly above the segment joining
-(0,2) and (k+1,0).  Such a germ is semi-quasihomogeneous with principal
-part z^2 + c*x^(k+1), hence of type A_k.
-
-Behind those two functions a series is a sum of z-layers c_j(x) * z^j, each
-c_j an XSeries (integer numerators over one denominator) mod
-x^((cutoff - wz*j)//wx + 1): exactly the terms of weight within the cutoff.
 A product is one truncated XSeries product per pair of nonzero layers, so
 no term above the cutoff is ever formed; since weights are positive, the
 result is exact modulo the window.  Substitution for the second variable is
@@ -23,6 +18,12 @@ the Horner scheme the classifier shares, ``subst_horner``.  The family's
 window (weights (2, k+1), cutoff 2(k+1)) has only the layers z^0, z^1, z^2,
 and its inverted series y(x, z) a handful of terms at every member, so the
 cost follows the number of terms, not the window's x-range.
+
+newton_ak_certify is the Newton-segment check: it accepts a window with
+weights (2, k+1) exactly when, apart from the two segment endpoints z^2
+and x^(k+1), every retained term lies strictly above the segment joining
+(0,2) and (k+1,0).  Such a germ is semi-quasihomogeneous with principal
+part z^2 + c*x^(k+1), hence of type A_k.
 """
 
 from __future__ import annotations
@@ -57,45 +58,96 @@ def _checked_window(weights, cutoff) -> Weights:
     return weights
 
 
-def truncate_by_weight(p: SparsePoly, weights: Weights, cutoff: int) -> SparsePoly:
-    """Drop every term of p with weighted degree above the cutoff."""
-    wx, wz = weights
-    return SparsePoly(
-        [((m.ex, m.ey), c) for m, c in p.terms() if wx * m.ex + wz * m.ey <= cutoff]
-    )
+def _layer_prec(weights: Weights, cutoff: int, j: int) -> int:
+    """The precision of the z^j layer: x^i z^j lies in the window iff i < this."""
+    return (cutoff - weights.wz * j) // weights.wx + 1
 
 
 class _TruncatedSeries(NamedTuple):
-    body: SparsePoly
+    layers: dict[int, XSeries]
     weights: Weights
     cutoff: int
 
 
 class TruncatedSeries(_TruncatedSeries):
-    """A polynomial known exactly up to weighted degree `cutoff`."""
+    """A series in (x, z) known exactly up to weighted degree `cutoff`.
+
+    ``layers`` is {j: c_j}, the nonzero z-layers, each c_j an XSeries at
+    the precision of its layer; every operand of one product shares the
+    window.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, body, weights, cutoff):
-        wx, wz = weights = _checked_window(weights, cutoff)
-        for m, _ in body.terms():
-            if wx * m.ex + wz * m.ey > cutoff:
-                raise InvalidInput(
-                    "series body contains a term beyond the cutoff; "
-                    "use TruncatedSeries.from_poly to truncate"
-                )
-        return super().__new__(cls, body, weights, cutoff)
+    def __new__(cls, layers, weights, cutoff):
+        weights = _checked_window(weights, cutoff)
+        if not isinstance(layers, dict):
+            raise InvalidInput(
+                "series layers must be a dict {j: XSeries}; "
+                "use TruncatedSeries.from_poly for a polynomial"
+            )
+        for j, c in layers.items():
+            if type(j) is not int or j < 0 or weights.wz * j > cutoff:
+                raise InvalidInput(f"series layer z^{j!r} lies outside the window")
+            n = _layer_prec(weights, cutoff, j)
+            if not (isinstance(c, XSeries) and c.prec == n and c.terms):
+                raise InvalidInput(f"series layer z^{j} must be a nonzero XSeries mod x^{n}")
+        return cls._wrap(dict(layers), weights, cutoff)
+
+    @classmethod
+    def _wrap(cls, layers: dict[int, XSeries], weights: Weights, cutoff: int) -> "TruncatedSeries":
+        """Adopt nonzero layers at their precisions in a checked window, skipping the checks."""
+        return tuple.__new__(cls, (layers, weights, cutoff))
+
+    @classmethod
+    def _from_rows(cls, rows: dict[int, dict], weights: Weights, cutoff: int) -> "TruncatedSeries":
+        """The window's part of the series with {j: {i: coefficient of x^i z^j}}."""
+        kept = [(j, XSeries.from_terms(row, _layer_prec(weights, cutoff, j)))
+                for j, row in rows.items() if weights.wz * j <= cutoff]
+        return cls._wrap({j: c for j, c in kept if c.terms}, weights, cutoff)
 
     @classmethod
     def from_poly(cls, p: SparsePoly, weights: Weights, cutoff: int) -> "TruncatedSeries":
-        weights = Weights(*weights)
-        return cls(truncate_by_weight(p, weights, cutoff), weights, cutoff)
+        """The window's part of p: every term above the cutoff is dropped."""
+        weights = _checked_window(weights, cutoff)
+        return cls._from_rows(p.coeffs_in_y(), weights, cutoff)
+
+    @property
+    def body(self) -> SparsePoly:
+        """The window as a polynomial in (x, z)."""
+        return SparsePoly._wrap({
+            Monomial(i, j): Fraction(v, c.den) for j, c in self.layers.items() for i, v in c.terms
+        })
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.body.coefficient(i, j)
+        c = self.layers.get(j)
+        return c.coefficient(i) if c is not None and 0 <= i < c.prec else Fraction(0)
 
     def terms(self):
+        """Yield (monomial, coefficient) pairs in the canonical order of SparsePoly."""
         return self.body.terms()
+
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self.mul_add(other, None)
+
+    def mul_add(
+        self, other: "TruncatedSeries", addend: "TruncatedSeries | None"
+    ) -> "TruncatedSeries":
+        """self * other + addend in the window: one fused XSeries step per pair of layers.
+
+        A layer with no addend is a plain product, so no zero series is built for it.
+        """
+        weights, cutoff = self.weights, self.cutoff
+        layers = dict(addend.layers) if addend is not None else {}
+        for i, a in self.layers.items():
+            for l, b in other.layers.items():
+                j = i + l
+                if weights.wz * j <= cutoff:
+                    n = _layer_prec(weights, cutoff, j)
+                    acc = layers.get(j)
+                    a_n, b_n = a.resize(n), b.resize(n)
+                    layers[j] = a_n * b_n if acc is None else a_n.mul_add(b_n, acc)
+        return TruncatedSeries._wrap({j: c for j, c in layers.items() if c.terms}, weights, cutoff)
 
 
 # -- the Newton-segment check ----------------------------------------------
@@ -142,50 +194,6 @@ def newton_ak_certify(series: TruncatedSeries, expected_k: int) -> AkCertificate
     return AkCertificate(expected_k, coeff_z2, coeff_xk1, violations)
 
 
-# -- the window as z-layers ------------------------------------------------
-
-
-class _ZLayers:
-    """A series in (x, z) inside the window (wx, wz, cutoff), as {j: c_j(x)}.
-
-    Only nonzero layers are kept; c_j is an XSeries mod x^((cutoff - wz*j)//wx
-    + 1).  Every operand of one computation shares the window.
-    """
-
-    __slots__ = ("rows", "window")
-
-    def __init__(self, rows: dict[int, XSeries], window: tuple[int, int, int]):
-        self.rows, self.window = rows, window
-
-    @classmethod
-    def from_rows(cls, rows: dict[int, dict], window: tuple[int, int, int]) -> "_ZLayers":
-        """The window's part of the series with {j: {i: coefficient of x^i z^j}}."""
-        wx, wz, cutoff = window
-        layers = [(j, XSeries.from_terms(row, (cutoff - wz * j) // wx + 1))
-                  for j, row in rows.items() if wz * j <= cutoff]
-        return cls({j: c for j, c in layers if c.terms}, window)
-
-    def to_poly(self) -> SparsePoly:
-        return SparsePoly._wrap(
-            {Monomial(i, j): Fraction(v, c.den) for j, c in self.rows.items() for i, v in c.terms}
-        )
-
-    def __mul__(self, other: "_ZLayers") -> "_ZLayers":
-        return self.mul_add(other, _ZLayers({}, self.window))
-
-    def mul_add(self, other: "_ZLayers", addend: "_ZLayers") -> "_ZLayers":
-        """self * other + addend in the window: one fused XSeries step per pair of layers."""
-        wx, wz, cutoff = self.window
-        rows, empty = dict(addend.rows), XSeries.zero(1)
-        for i, a in self.rows.items():
-            for l, b in other.rows.items():
-                j = i + l
-                if wz * j <= cutoff:
-                    n = (cutoff - wz * j) // wx + 1
-                    rows[j] = a.resize(n).mul_add(b.resize(n), rows.get(j, empty))
-        return _ZLayers({j: c for j, c in rows.items() if c.terms}, self.window)
-
-
 # -- coordinate-change inversion -------------------------------------------
 
 
@@ -204,15 +212,14 @@ def invert_change(A: SparsePoly, weights: Weights, cutoff: int) -> TruncatedSeri
         raise PreconditionViolated("the perturbation must vanish to order 2 at the origin")
     if weights.wz > cutoff:
         raise InvalidInput("cutoff is too small to represent the new variable")
-    window = (*weights, cutoff)
     rows = {e: {0: row} for e, row in A.coeffs_in_y().items()}
     rows.setdefault(0, {})[1] = {0: 1}
-    layers = horner_layers(rows, lambda zrows: _ZLayers.from_rows(zrows, window))
-    phi = _ZLayers.from_rows({1: {0: 1}}, window)
+    layers = horner_layers(rows, lambda zrows: TruncatedSeries._from_rows(zrows, weights, cutoff))
+    phi = TruncatedSeries._from_rows({1: {0: 1}}, weights, cutoff)
     for _ in range(cutoff + 2):
         nxt = subst_horner(layers, phi)
-        if nxt.rows == phi.rows:
-            return TruncatedSeries(phi.to_poly(), weights, cutoff)
+        if nxt.layers == phi.layers:
+            return phi
         phi = nxt
     raise RuntimeError("fixed-point iteration failed to converge")
 
@@ -224,8 +231,7 @@ def compose_curve(F: SparsePoly, y_series: TruncatedSeries) -> TruncatedSeries:
     never form a term above the series' cutoff.
     """
     weights, cutoff = y_series.weights, y_series.cutoff
-    window = (*weights, cutoff)
-    layers = horner_layers(F.coeffs_in_y(), lambda row: _ZLayers.from_rows({0: row}, window))
-    r = _ZLayers.from_rows(y_series.body.coeffs_in_y(), window)
-    body = subst_horner(layers, r).to_poly() if layers else SparsePoly.zero()
-    return TruncatedSeries(body, weights, cutoff)
+    layers = horner_layers(
+        F.coeffs_in_y(), lambda row: TruncatedSeries._from_rows({0: row}, weights, cutoff)
+    )
+    return subst_horner(layers, y_series) if layers else TruncatedSeries._wrap({}, weights, cutoff)

@@ -475,7 +475,17 @@ def test_json_rejects_inexact_exponents(e):
         SparsePoly.from_json_dict({"vars": ["x", "y"], "terms": [{"e": e, "c": "1"}]})
 
 
-@pytest.mark.parametrize("c", [0.1, 3.0, True, None, "1/0", "one"])
+@pytest.mark.parametrize(
+    "c",
+    [
+        0.1, 3.0, True, None, "1/0", "one",
+        # the text grammar reads neither exponents nor decimal points, and holds
+        # every coefficient to LITERAL_POWER_BITS; Fraction("1e30000000") alone
+        # runs for most of a minute
+        "1e30000000", "0.5",
+        pytest.param(str(2**poly.LITERAL_POWER_BITS), id="over-budget"),
+    ],
+)
 def test_json_rejects_inexact_coefficients(c):
     with pytest.raises(InvalidInput):
         SparsePoly.from_json_dict({"vars": ["x", "y"], "terms": [{"e": [1, 0], "c": c}]})

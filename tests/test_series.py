@@ -9,18 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from akforge._xseries import XSeries
 from akforge.errors import InvalidInput, PreconditionViolated
+from akforge.family import build_F, certify_member
 from akforge.poly import SparsePoly, parse_poly
-from akforge.series import (
-    TruncatedSeries,
-    Weights,
-    _ZLayers,
-    compose_curve,
-    invert_change,
-    truncate_by_weight,
-)
+from akforge.series import TruncatedSeries, Weights, compose_curve, invert_change
 
 W11 = Weights(1, 1)
+
+
+def truncate_by_weight(p: SparsePoly, weights: Weights, cutoff: int) -> SparsePoly:
+    """Drop every term of p with weighted degree above the cutoff: the
+    untruncated reference the product, inversion and composition oracles
+    truncate with."""
+    wx, wz = weights
+    return SparsePoly(
+        [((m.ex, m.ey), c) for m, c in p.terms() if wx * m.ex + wz * m.ey <= cutoff]
+    )
 
 
 def rand_int_poly(rng: random.Random, max_deg=4, nterms=5, min_deg=0) -> SparsePoly:
@@ -36,20 +41,69 @@ def rand_int_poly(rng: random.Random, max_deg=4, nterms=5, min_deg=0) -> SparseP
 
 def layered_product(p: SparsePoly, q: SparsePoly, w: Weights, cutoff: int) -> SparsePoly:
     """p * q in the window, formed on z-layers."""
-    window = (*w, cutoff)
-    a, b = (_ZLayers.from_rows(t.coeffs_in_y(), window) for t in (p, q))
-    return (a * b).to_poly()
+    a, b = (TruncatedSeries.from_poly(t, w, cutoff) for t in (p, q))
+    return (a * b).body
 
 
 def test_contract_validation():
     with pytest.raises(InvalidInput):
-        TruncatedSeries(SparsePoly.zero(), Weights(0, 1), 4)
+        TruncatedSeries({}, Weights(0, 1), 4)
     with pytest.raises(InvalidInput):
-        TruncatedSeries(SparsePoly.zero(), Weights(1, 1), -1)
+        TruncatedSeries({}, Weights(1, 1), -1)
     with pytest.raises(InvalidInput):
-        TruncatedSeries(parse_poly("x^5"), Weights(1, 1), 4)
-    s = TruncatedSeries(parse_poly("x^2*y"), Weights(2, 3), 7)
+        TruncatedSeries({0: XSeries.from_terms({5: 1}, 6)}, Weights(1, 1), 4)
+    # the z^1 layer of weights (2, 3) and cutoff 7 is held mod x^3
+    s = TruncatedSeries({1: XSeries.from_terms({2: 1}, 3)}, Weights(2, 3), 7)
     assert s.coefficient(2, 1) == 1
+    assert s.coefficient(3, 1) == s.coefficient(2, 0) == s.coefficient(0, 9) == 0
+    assert s.body == parse_poly("x^2*y")
+
+
+def _layer(terms: dict, prec: int) -> XSeries:
+    return XSeries.from_terms(terms, prec)
+
+
+# weights (1, 2), cutoff 5: the layers z^0, z^1, z^2 are held mod x^6, x^4, x^2
+@pytest.mark.parametrize(
+    "layers",
+    [
+        {1: _layer({0: 1}, 5)},
+        {0: _layer({0: 1}, 1)},
+        {-1: _layer({0: 1}, 8)},
+        {3: _layer({0: 1}, 1)},
+        {1.0: _layer({0: 1}, 4)},
+        {True: _layer({0: 1}, 4)},
+        {1: XSeries.zero(4)},
+        {1: {0: 1}},
+        {1: parse_poly("x")},
+        parse_poly("x*y"),
+        [(1, _layer({0: 1}, 4))],
+    ],
+    ids=[
+        "layer-too-precise",
+        "layer-too-coarse",
+        "negative-z-exponent",
+        "too-heavy-z-exponent",
+        "float-z-exponent",
+        "bool-z-exponent",
+        "zero-layer",
+        "dict-layer",
+        "poly-layer",
+        "poly-for-layers",
+        "pairs-for-layers",
+    ],
+)
+def test_layered_constructor_rejects_a_malformed_window(layers):
+    with pytest.raises(InvalidInput):
+        TruncatedSeries(layers, Weights(1, 2), 5)
+
+
+def test_layered_constructor_copies_its_layers():
+    layers = {1: _layer({0: 1}, 4)}
+    s = TruncatedSeries(layers, Weights(1, 2), 5)
+    layers[0] = _layer({0: 1}, 6)
+    assert list(s.layers) == [1]
+    assert s == TruncatedSeries.from_poly(parse_poly("y"), Weights(1, 2), 5)
 
 
 def test_from_poly_truncates():
@@ -78,15 +132,14 @@ def test_mul_across_several_z_layers():
     w, cutoff = Weights(1, 2), 9
     p = parse_poly("(1 + x + 1/2*y)^4 + x^3*y^2")
     q = parse_poly("(2 - x*y + y^2)^3 + 1/3*x^7")
-    window = (*w, cutoff)
-    a, b = (_ZLayers.from_rows(t.coeffs_in_y(), window) for t in (p, q))
-    assert sorted(a.rows) == sorted(b.rows) == [0, 1, 2, 3, 4]
-    assert [a.rows[j].prec for j in range(5)] == [10, 8, 6, 4, 2]
+    a, b = (TruncatedSeries.from_poly(t, w, cutoff) for t in (p, q))
+    assert sorted(a.layers) == sorted(b.layers) == [0, 1, 2, 3, 4]
+    assert [a.layers[j].prec for j in range(5)] == [10, 8, 6, 4, 2]
     want = truncate_by_weight(p * q, w, cutoff)
-    assert (a * b).to_poly() == want
+    assert (a * b).body == want
     r = parse_poly("x^2 - 5*y^3")
-    c = _ZLayers.from_rows(r.coeffs_in_y(), window)
-    assert a.mul_add(b, c).to_poly() == want + truncate_by_weight(r, w, cutoff)
+    c = TruncatedSeries.from_poly(r, w, cutoff)
+    assert a.mul_add(b, c).body == want + truncate_by_weight(r, w, cutoff)
 
 
 def test_invert_simple_quadratic_gives_catalan_counts():
@@ -154,7 +207,7 @@ def test_invert_rejects_non_positive_weights(w):
 )
 def test_series_record_rejects_non_integer_window(w, cutoff):
     with pytest.raises(InvalidInput):
-        TruncatedSeries(SparsePoly.zero(), w, cutoff)
+        TruncatedSeries({}, w, cutoff)
 
 
 def invert_oracle(A: SparsePoly, w: Weights, cutoff: int) -> SparsePoly:
@@ -218,6 +271,18 @@ def test_compose_identity_series():
     F = parse_poly("y^2 - 2*x^3*y + x^7")
     ident = TruncatedSeries.from_poly(parse_poly("y"), W11, 7)
     assert compose_curve(F, ident).body == F
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_certify_member_reads_each_polynomial_by_layers_once(s, monkeypatch):
+    # A's y-layers for the inversion and F's for the composition; the
+    # inverted series reaches compose_curve as z-layers, not as a polynomial
+    read = []
+    coeffs_in_y = SparsePoly.coeffs_in_y
+    monkeypatch.setattr(SparsePoly, "coeffs_in_y", lambda p: read.append(p) or coeffs_in_y(p))
+    certify_member(s)
+    inst = build_F(s)
+    assert read == [inst.A, inst.F]
 
 
 def test_certification_window_small_member():
